@@ -4,7 +4,7 @@
     python3 perfbench/run.py --workload NAME --seed N --seconds S --trace 0|1
     python3 perfbench/run.py --selftest
 
-Builds the library from this source tree's src/ together with the
+Builds the repository's own linkpad library target together with the
 benchmark (CMake, Release) into .bench_build/perfbench, then runs one
 workload. The last line of standard output is the result object; see
 perfbench/NOTES.md for the workloads and metrics.

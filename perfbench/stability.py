@@ -1,16 +1,17 @@
 #!/usr/bin/env python3
 """Stability check of the campaign benchmark.
 
-    python3 perfbench/stability.py [--workloads a,b] [--seeds 1,2,3]
-                                   [--seconds S] [--repeat-seed N] [--out FILE]
+    python3 perfbench/stability.py [--out FILE]
 
-1. Spread: one untraced run per seed and workload. For every end-to-end
-   metric, the distance between the first and third quartile of the runs
-   (statistics.quantiles, n=4) as a share of their median must stay within
-   the metric's bound in BENCHMARK.json; setup_s is reported but exempt.
-2. Exact repeats: two traced runs per workload at --repeat-seed. The work
-   counts below must be identical in both, since they are pure functions of
-   the commit and the seed.
+For every workload in BENCHMARK.json:
+
+1. Spread: one untraced run for each of the seeds 1..10. For every
+   end-to-end metric, setup_s included, the distance between the first and
+   third quartile of the runs (statistics.quantiles, n=4) as a share of
+   their median must stay within the metric's bound in BENCHMARK.json.
+2. Exact repeats: two traced runs at the default seed. The work counts
+   below must be identical in both, since they are pure functions of the
+   commit and the seed.
 
 Exits 1 when either check fails. Every run's result object is written to
 --out (JSON lines, with the full record of each run) when given.
@@ -24,6 +25,8 @@ from pathlib import Path
 
 BENCH_DIR = Path(__file__).resolve().parent
 ROOT = BENCH_DIR.parent
+SEEDS = range(1, 11)
+DEFAULT_SEED = 20030324
 EXACT_COUNTS = ("sim.streams", "sim.piats", "tune.evaluations", "tune.rounds",
                 "tune.piats_per_eval", "population.chunks", "shard.bytes",
                 "shard.bytes_per_flow", "shard.checkpoint_writes",
@@ -38,14 +41,15 @@ def run(workload, seed, seconds, trace, log):
     if done.returncode != 0 or not lines:
         sys.stderr.write(done.stdout + done.stderr)
         raise SystemExit(f"run failed: {' '.join(cmd)}")
-    result = json.loads(lines[-1])
+    result, record = json.loads(lines[-1]), json.loads(lines[-2])
     if log:
         log.write(json.dumps({"workload": workload, "seed": seed, "trace": trace,
-                              "result": result, "record": json.loads(lines[-2])}) + "\n")
+                              "result": result, "record": record}) + "\n")
         log.flush()
     if not result["correct"] or result["failed"] != 0:
         raise SystemExit(f"incorrect result: {' '.join(cmd)}\n{lines[-2]}")
-    return {name: m["value"] for name, m in result["metrics"].items()}
+    # The record holds every metric of the run, the result's among them.
+    return {name: m["value"] for name, m in record["metrics"].items()}
 
 
 def spread(values):
@@ -56,35 +60,25 @@ def spread(values):
 def main():
     bench = json.loads((ROOT / "BENCHMARK.json").read_text())
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--workloads", default=",".join(w["name"] for w in bench["workloads"]))
-    parser.add_argument("--seeds", default="1,2,3,4,5,6,7,8,9,10")
-    parser.add_argument("--seconds", type=int, default=bench["run_seconds"])
-    parser.add_argument("--repeat-seed", type=int, default=20030324)
-    parser.add_argument("--no-repeats", action="store_true",
-                        help="skip the exact-repeat traced runs")
-    parser.add_argument("--out", type=Path)
+    parser.add_argument("--out", type=Path,
+                        help="append every run's result and record here (JSON lines)")
     args = parser.parse_args()
-    seeds = [int(s) for s in args.seeds.split(",")]
+    seconds = bench["run_seconds"]
     log = args.out.open("a") if args.out else None
 
     ok = True
-    for workload in args.workloads.split(","):
-        runs = [run(workload, seed, args.seconds, 0, log) for seed in seeds]
-        print(f"{workload}: {len(runs)} untraced runs, seeds {args.seeds}")
+    for workload in (w["name"] for w in bench["workloads"]):
+        runs = [run(workload, seed, seconds, 0, log) for seed in SEEDS]
+        print(f"{workload}: {len(runs)} untraced runs, seeds {SEEDS.start}..{SEEDS.stop - 1}")
         for metric in bench["end_to_end"]:
             name, bound = metric["name"], metric["bound"]
             med, share = spread([r[name] for r in runs])
-            exempt = name == "setup_s"
-            verdict = ("exempt" if exempt else
-                       "ok" if share <= bound / 3 else
+            verdict = ("ok" if share <= bound / 3 else
                        "within bound" if share <= bound else "OVER BOUND")
-            ok = ok and (exempt or share <= bound)
+            ok = ok and share <= bound
             print(f"  {name:14s} median {med:12.6g} {metric['unit']:8s} "
                   f"IQR/median {share:7.4f}  bound {bound:.2f}  {verdict}")
-        if args.no_repeats:
-            continue
-        first, second = (run(workload, args.repeat_seed, args.seconds, 1, log)
-                         for _ in range(2))
+        first, second = (run(workload, DEFAULT_SEED, seconds, 1, log) for _ in range(2))
         for name in EXACT_COUNTS:
             same = first[name] == second[name]
             ok = ok and same
