@@ -1,6 +1,7 @@
 #include "classify/evaluation.hpp"
 
 #include <sstream>
+#include <utility>
 
 #include "util/check.hpp"
 
@@ -9,6 +10,15 @@ namespace linkpad::classify {
 ConfusionMatrix::ConfusionMatrix(std::size_t num_classes)
     : n_(num_classes), counts_(num_classes * num_classes, 0) {
   LINKPAD_EXPECTS(num_classes >= 2);
+}
+
+ConfusionMatrix ConfusionMatrix::from_counts(std::size_t num_classes,
+                                             std::vector<std::uint64_t> counts) {
+  ConfusionMatrix cm(num_classes);
+  LINKPAD_EXPECTS(counts.size() == cm.counts_.size());
+  for (const std::uint64_t c : counts) cm.total_ += c;
+  cm.counts_ = std::move(counts);
+  return cm;
 }
 
 void ConfusionMatrix::add(ClassLabel truth, ClassLabel predicted) {

@@ -29,6 +29,13 @@ class ConfusionMatrix {
   void merge(const ConfusionMatrix& other);
 
   [[nodiscard]] std::size_t num_classes() const { return n_; }
+
+  /// Row-major [truth][predicted] counts: the state from_counts restores.
+  [[nodiscard]] const std::vector<std::uint64_t>& counts() const { return counts_; }
+
+  /// The matrix holding `counts` (row-major, num_classes² entries).
+  [[nodiscard]] static ConfusionMatrix from_counts(std::size_t num_classes,
+                                                   std::vector<std::uint64_t> counts);
   [[nodiscard]] std::uint64_t count(ClassLabel truth, ClassLabel predicted) const;
   [[nodiscard]] std::uint64_t total() const { return total_; }
   [[nodiscard]] std::uint64_t row_total(ClassLabel truth) const;

@@ -12,6 +12,7 @@
 #include <string>
 #include <utility>
 
+#include "core/codec.hpp"
 #include "stats/concentration.hpp"
 #include "stats/quantile_sketch.hpp"
 #include "util/check.hpp"
@@ -290,6 +291,15 @@ std::vector<ChunkAggregate> PopulationEngine::run_chunks(
   return chunks;
 }
 
+std::optional<SampledFinalize> sampled_finalize(std::size_t flows,
+                                                std::size_t sample_flows,
+                                                std::size_t sample_round,
+                                                std::uint64_t seed) {
+  if (sample_flows == 0) return std::nullopt;
+  return SampledFinalize{
+      flows, sampled_flow_ids(flows, sample_flows, sample_round, seed)};
+}
+
 PopulationResult finalize_population(ChunkAggregate all, std::size_t flows,
                                      const std::vector<std::size_t>& sample_sizes,
                                      double detection_threshold,
@@ -467,13 +477,8 @@ PopulationResult PopulationEngine::run(const PopulationSpec& spec) const {
       std::move(chunks),
       [](ChunkAggregate& left, ChunkAggregate& right) { left.merge(right); });
 
-  std::optional<SampledFinalize> sampled;
-  if (spec.is_sampled()) {
-    sampled.emplace();
-    sampled->population = spec.flows;
-    sampled->flow_ids = sampled_flow_ids(spec.flows, spec.sample_flows,
-                                         spec.sample_round, spec.seed);
-  }
+  const auto sampled =
+      sampled_finalize(spec.flows, spec.sample_flows, spec.sample_round, spec.seed);
   return finalize_population(
       std::move(all), executed, spec.experiment.sample_sizes(),
       spec.detection_threshold,
@@ -546,6 +551,90 @@ PopulationResult run_sampled_until(const PopulationSpec& spec,
     if (worst_half_width <= adaptive.target_half_width) break;
   }
   return result;
+}
+
+// ------------------------------------------------------------- result JSON
+//
+// population_result_json: the pretty JsonWriter layout (core/codec.hpp) over
+// the result's field lists. Empty estimate and cpd arrays render as null;
+// per-flow primary rates render as bare hex bit patterns.
+
+template <class V>
+void visit_fields(V& v, const PopulationEstimate& e) {
+  v("point", e.point);
+  v("lo", e.lo);
+  v("hi", e.hi);
+  v("m", e.m);
+  v("M", e.M);
+}
+
+template <class V>
+void visit_fields(V& v, const SampledEstimates& e) {
+  v("n", e.sample_size);
+  v("detected_fraction", e.detected_fraction);
+  v("mean_rate", e.mean_rate);
+  v("dkw_epsilon", e.dkw_epsilon);
+}
+
+template <class V>
+void visit_fields(V& v, const PopulationPoint& p) {
+  v("n", p.sample_size);
+  v("detected_fraction", p.detected_fraction);
+  v("mean_rate", p.mean_rate);
+  v("min_rate", p.min_rate);
+  v("max_rate", p.max_rate);
+  v("worst_flow", p.worst_flow);
+  v("quantiles", std::tie(p.quantiles.p05, p.quantiles.p25, p.quantiles.median,
+                          p.quantiles.p75, p.quantiles.p95));
+}
+
+template <class V>
+void visit_fields(V& v, const CpdPopulationPoint& p) {
+  v("kind", classify::cpd_kind_name(p.kind));
+  v("mean_threshold", p.mean_threshold);
+  v("detected_fraction", p.detected_fraction);
+  v("mean_n_at_detection", p.mean_n_at_detection);
+  v("min_n_at_detection", p.min_n_at_detection);
+  v("first_exposed_flow", p.first_exposed_flow);
+  v("min_time_to_detection", p.min_time_to_detection);
+  v("mean_false_alarms", p.mean_false_alarms);
+}
+
+namespace {
+
+template <class T>
+std::optional<std::vector<T>> unless_empty(std::vector<T> items) {
+  if (items.empty()) return std::nullopt;
+  return items;
+}
+
+}  // namespace
+
+template <class V>
+void visit_fields(V& v, const PopulationResult& r) {
+  std::vector<std::string> per_flow_rates;
+  for (const auto& flow : r.per_flow) {
+    per_flow_rates.push_back(encode_double(flow.detection_rate));
+  }
+  v("flows", r.flow_count);
+  v("first_detection_n", r.first_detection_n);
+  v("time_to_first_detection", r.time_to_first_detection);
+  v("mean_padding_bps", r.mean_padding_bps);
+  v("mean_wire_bps", r.mean_wire_bps);
+  v("mean_dummy_fraction", r.mean_dummy_fraction);
+  v("worst_delay_p95", r.worst_delay_p95);
+  v("sampled_from", r.sampled_from);
+  v("estimates", unless_empty(r.estimates));
+  v("dummy_fraction_estimate", r.dummy_fraction_estimate);
+  v("by_sample_size", r.by_sample_size);
+  v("cpd", unless_empty(r.cpd));
+  v("per_flow_rates", unless_empty(std::move(per_flow_rates)));
+}
+
+std::string population_result_json(const PopulationResult& result) {
+  std::string out;
+  JsonWriter(out, JsonWriter::Layout::kPretty).put(result);
+  return out;
 }
 
 }  // namespace linkpad::core

@@ -38,6 +38,7 @@
 #include <functional>
 #include <limits>
 #include <optional>
+#include <string>
 #include <vector>
 
 #include "core/experiment.hpp"
@@ -432,6 +433,13 @@ struct SampledFinalize {
   double confidence = kDefaultEstimateConfidence;
 };
 
+/// The finalize view of a campaign of `flows` flows: nullopt when
+/// exhaustive (sample_flows == 0), else stratum `sample_round` of
+/// sample_flows flows under `seed`, at the default confidence.
+[[nodiscard]] std::optional<SampledFinalize> sampled_finalize(
+    std::size_t flows, std::size_t sample_flows, std::size_t sample_round,
+    std::uint64_t seed);
+
 [[nodiscard]] PopulationResult finalize_population(ChunkAggregate all,
                                                    std::size_t flows,
                                                    const std::vector<std::size_t>& sample_sizes,
@@ -463,5 +471,12 @@ struct AdaptiveSamplingOptions {
 [[nodiscard]] PopulationResult run_sampled_until(
     const PopulationSpec& spec, const AdaptiveSamplingOptions& adaptive,
     const ExperimentBackend& backend = sim_backend(), SweepOptions options = {});
+
+/// Deterministic JSON rendering of a PopulationResult: every double carried
+/// as its hex bit pattern (plus a human-readable echo derived from the same
+/// bits), per-flow primary detection rates included when present. Two
+/// bit-identical results render to byte-identical JSON — the CI shard-smoke
+/// diff and the N-shard merge walls compare these bytes.
+[[nodiscard]] std::string population_result_json(const PopulationResult& result);
 
 }  // namespace linkpad::core

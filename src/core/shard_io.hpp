@@ -1,13 +1,13 @@
 // Process sharding for population campaigns (DESIGN.md §2.10).
 //
-// PR 6 made the population reduction a fold over mergeable ChunkAggregates
-// whose merge is ordered concatenation — exact, associative, and a pure
-// function of the (flows, grain) chunk partition. That turns process-level
-// scale-out into a serialization problem: a shard worker computes the
-// chunks with id ≡ shard_index (mod shard_count), writes them to a durable
-// shard file, and core::merge_shards reassembles ALL chunks in flow order
-// and runs the order-sensitive finalize exactly once — bit-identical to
-// the single-process run at any thread count, grain, or shard count.
+// The population reduction is a fold over mergeable ChunkAggregates whose
+// merge is ordered concatenation — exact, associative, and a pure function
+// of the (flows, grain) chunk partition. That turns process-level scale-out
+// into a serialization problem: a shard worker computes the chunks with
+// id ≡ shard_index (mod shard_count), writes them to a durable shard file,
+// and core::merge_shards reassembles ALL chunks in flow order and runs the
+// order-sensitive finalize exactly once — bit-identical to the
+// single-process run at any thread count, grain, or shard count.
 //
 // Shard file format (versioned, line-oriented so a killed worker's file is
 // recoverable up to the last complete line):
@@ -16,13 +16,18 @@
 //            finalize needs (sample-size axis, detection threshold, the
 //            policy's mean timer interval, seed, keep_per_flow);
 //   line 2+: one object per completed ChunkAggregate, in chunk-id order.
+// Each line is compact JSON written from the records' field lists
+// (core/codec.hpp, lists in shard_io.cpp) and read back by a strict
+// streaming reader: keys must appear exactly in list order, with no
+// whitespace, so a missing, extra, duplicate or reordered key is an error.
 // EVERY double crosses the file as the 16-hex-digit IEEE-754 bit pattern
-// of its value (never printf'd as decimal), so deserialize(serialize(x))
-// is bitwise == x — including ±inf fold identities and P²-grade values a
-// %.17g round-trip could still perturb on exotic libcs. The file is only
-// ever replaced atomically (write temp, fsync, rename), reusing the PR-3
-// checkpoint discipline: a reader sees the previous complete file or the
-// new complete file, never a torn one.
+// of its value (never printf'd as decimal), so parse(serialize(x)) is
+// bitwise == x — including ±inf fold identities and signed zeros. On parse,
+// every chunk detection rate must lie in [0, 1], and every corrupt input
+// ends in a std::invalid_argument whose message starts with "shard_io:".
+// The file is only ever replaced atomically (write temp, flush, rename): a
+// reader sees the previous complete file or the new complete file, never
+// a torn one.
 #pragma once
 
 #include <cstdint>
@@ -31,10 +36,8 @@
 #include <string>
 #include <vector>
 
+#include "core/codec.hpp"
 #include "core/population.hpp"
-#include "stats/descriptive.hpp"
-#include "stats/histogram.hpp"
-#include "stats/quantile_sketch.hpp"
 
 namespace linkpad::core {
 
@@ -45,15 +48,6 @@ namespace linkpad::core {
 /// lines (cpd_kinds + per-flow FlowCpd rows) and the `cpd` array to
 /// serialized ExperimentResults / SampleSizePoints.
 inline constexpr std::uint64_t kShardFormatVersion = 3;
-
-// ------------------------------------------------------------ exact doubles
-
-/// The 16-hex-digit bit pattern of `x` ("3fe0000000000000"). Total order on
-/// the bits, not the value: NaN payloads, signed zeros and ±inf all survive.
-[[nodiscard]] std::string encode_double(double x);
-
-/// Inverse of encode_double. Throws std::invalid_argument on malformed hex.
-[[nodiscard]] double decode_double(const std::string& hex);
 
 // ------------------------------------------------------------- shard model
 
@@ -89,41 +83,27 @@ struct PopulationShard {
   /// shard_count)} over the (executed_flows, grain) partition, ascending.
   [[nodiscard]] std::vector<std::size_t> owned_chunk_ids() const;
 
-  /// True when `other` describes the same campaign (all header fields
-  /// except shard_index equal) — the merge compatibility check.
+  /// True when `other` describes the same campaign — every field of the
+  /// header's field list except shard_index is equal (doubles bitwise) —
+  /// the merge compatibility check. A new header field joins it by being
+  /// added to the list.
   [[nodiscard]] bool same_campaign(const PopulationShard& other) const;
 };
 
-/// Header for a (spec, options) pair — chunk list empty. `options` supplies
-/// shard_index / shard_count / grain.
-[[nodiscard]] PopulationShard make_shard_header(const PopulationSpec& spec,
-                                                const SweepOptions& options);
-
 // ---------------------------------------------------------- serialization
-
-/// One-line JSON of the shard header (no trailing newline).
-[[nodiscard]] std::string serialize_shard_header(const PopulationShard& shard);
-
-/// One-line JSON of one chunk aggregate (no trailing newline). `chunk_id`
-/// is recorded explicitly so resume bookkeeping never re-derives it.
-[[nodiscard]] std::string serialize_chunk(std::size_t chunk_id,
-                                          const ChunkAggregate& chunk);
 
 /// Whole shard file body: header line + chunk lines (ascending chunk id) +
 /// trailing newline. Byte-deterministic: a pure function of the shard's
 /// contents, never of completion order or wall clock.
 [[nodiscard]] std::string serialize_shard(const PopulationShard& shard);
 
-/// Parse a whole shard file body (header line + chunk lines). With
-/// `tolerate_partial_tail`, a final line that does not parse — the torn
-/// write of a killed worker — is dropped instead of raising; every complete
-/// line before it is kept. Chunks are returned sorted by chunk id.
+/// Parse a whole shard file body (header line + chunk lines in ascending
+/// chunk-id order). With `tolerate_partial_tail`, a final line that does
+/// not parse — the torn write of a killed worker — is dropped instead of
+/// raising; every complete line before it is kept. Any other defect throws
+/// std::invalid_argument with a message starting "shard_io:".
 [[nodiscard]] PopulationShard parse_shard(const std::string& text,
                                           bool tolerate_partial_tail = false);
-
-/// Atomically replace `path` with the serialized shard (write `path`.tmp,
-/// flush, rename). The rename is the commit point.
-void write_shard_file(const std::string& path, const PopulationShard& shard);
 
 /// Read + parse a shard file. See parse_shard for `tolerate_partial_tail`.
 [[nodiscard]] PopulationShard read_shard_file(const std::string& path,
@@ -163,59 +143,21 @@ struct ShardRunOptions {
     const PopulationSpec& spec, const ExperimentBackend& backend,
     const SweepOptions& options, const ShardRunOptions& durability = {});
 
-/// Convenience overload on the default simulated backend.
-[[nodiscard]] PopulationShard run_population_shard(
-    const PopulationSpec& spec, const SweepOptions& options,
-    const ShardRunOptions& durability = {});
-
 // ------------------------------------------------------------------ merge
 
 /// Merge N shards of one campaign into the final PopulationResult: verify
 /// the headers agree and the chunk union covers the (executed_flows, grain)
-/// partition exactly once, tree-reduce the deserialized ChunkAggregates in
-/// chunk order (ordered concatenation — the same fixed-shape reduction the
+/// partition exactly once with one change-point detector layout
+/// (cpd_kinds), tree-reduce the deserialized ChunkAggregates in chunk order
+/// (ordered concatenation — the same fixed-shape reduction the
 /// single-process run uses), and run the order-sensitive finalize exactly
 /// once (with the sampled-estimate view when the campaign is sampled).
-/// Bit-identical to PopulationEngine::run of the same spec.
+/// Bit-identical to PopulationEngine::run of the same spec. A disagreement
+/// throws std::invalid_argument with a message starting "shard_io:".
 [[nodiscard]] PopulationResult merge_shards(std::vector<PopulationShard> shards);
 
 /// read_shard_file over every path, then merge_shards.
 [[nodiscard]] PopulationResult merge_shard_files(
     const std::vector<std::string>& paths);
-
-// ------------------------------------------------------- stats state JSON
-
-// One-line JSON round-trips of the checkpointable statistics state — the
-// same hex-double discipline as the shard format, exposed for tests and
-// for tools that persist partially-fed accumulators. parse(serialize(x))
-// is bitwise-equal to x for every reachable state, including empty
-// sketches and the ±inf min/max fold identities.
-
-[[nodiscard]] std::string serialize_quantile_state(
-    const stats::P2Quantile::State& state);
-[[nodiscard]] stats::P2Quantile::State parse_quantile_state(
-    const std::string& text);
-
-[[nodiscard]] std::string serialize_running_stats(
-    const stats::RunningStats::State& state);
-[[nodiscard]] stats::RunningStats::State parse_running_stats(
-    const std::string& text);
-
-[[nodiscard]] std::string serialize_histogram(const stats::Histogram& h);
-[[nodiscard]] stats::Histogram parse_histogram(const std::string& text);
-
-[[nodiscard]] std::string serialize_sparse_histogram(
-    const stats::SparseHistogram& h);
-[[nodiscard]] stats::SparseHistogram parse_sparse_histogram(
-    const std::string& text);
-
-// ------------------------------------------------------------- result JSON
-
-/// Deterministic JSON rendering of a PopulationResult: every double carried
-/// as its hex bit pattern (plus a human-readable echo derived from the same
-/// bits), per-flow primary detection rates included when present. Two
-/// bit-identical results render to byte-identical JSON — the CI shard-smoke
-/// diff compares these bytes.
-[[nodiscard]] std::string population_result_json(const PopulationResult& result);
 
 }  // namespace linkpad::core

@@ -385,7 +385,7 @@ TEST(CpdShard, RoundTripAndMergeMatchSingleProcess) {
     options.shard_index = index;
     options.shard_count = 2;
     core::PopulationShard shard =
-        core::run_population_shard(spec, options);
+        core::run_population_shard(spec, core::sim_backend(), options);
     // Serialize → parse: the chunk CPD rows survive bit for bit.
     const core::PopulationShard parsed =
         core::parse_shard(core::serialize_shard(shard));

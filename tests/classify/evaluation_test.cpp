@@ -120,6 +120,19 @@ TEST(ConfusionMatrix, BoundsChecked) {
   EXPECT_THROW(cm.count(5, 0), linkpad::ContractViolation);
 }
 
+TEST(ConfusionMatrix, FromCountsRestoresCountsAndTotal) {
+  ConfusionMatrix cm(3);
+  cm.add_count(0, 0, 4);
+  cm.add_count(2, 1, 3);
+  cm.add(1, 2);
+  const ConfusionMatrix back = ConfusionMatrix::from_counts(3, cm.counts());
+  EXPECT_EQ(back.counts(), cm.counts());
+  EXPECT_EQ(back.total(), 8u);
+  EXPECT_EQ(back.count(2, 1), 3u);
+  EXPECT_THROW((void)ConfusionMatrix::from_counts(2, {1, 2, 3}),
+               linkpad::ContractViolation);
+}
+
 TEST(ConfusionMatrix, ToStringMentionsRates) {
   ConfusionMatrix cm(2);
   cm.add(0, 0);
