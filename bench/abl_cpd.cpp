@@ -33,6 +33,7 @@ int main(int argc, char** argv) {
                          "detected", "n @ detection", "false alarms"});
 
   const double sigmas[] = {0.0, 5.0, 10.0};
+  const core::ExperimentEngine engine;
   for (std::size_t s = 0; s < 3; ++s) {
     const double sigma_us = sigmas[s];
     core::ExperimentSpec spec;
@@ -41,11 +42,11 @@ int main(int argc, char** argv) {
     spec.seed = core::derive_point_seed(opts.seed, s);
 
     const std::vector<std::vector<double>> train = {
-        core::generate_class_stream(spec, 0, train_piats, 1),
-        core::generate_class_stream(spec, 1, train_piats, 1)};
+        engine.class_stream(spec, 0, train_piats, 1),
+        engine.class_stream(spec, 1, train_piats, 1)};
     const std::vector<std::vector<double>> test = {
-        core::generate_class_stream(spec, 0, test_piats, 2),
-        core::generate_class_stream(spec, 1, test_piats, 2)};
+        engine.class_stream(spec, 0, test_piats, 2),
+        engine.class_stream(spec, 1, test_piats, 2)};
 
     for (const auto kind :
          {classify::CpdKind::kCusum, classify::CpdKind::kAdaptiveEwma}) {

@@ -25,7 +25,7 @@ double attack(classify::DensityKind density, stats::BandwidthRule rule,
       std::max<std::size_t>(12, static_cast<std::size_t>(200 * effort));
   spec.plan.test_windows = spec.plan.train_windows;
   spec.seed = seed;
-  return core::run_experiment(spec).detection_rate;
+  return core::ExperimentEngine().run(spec).detection_rate;
 }
 
 }  // namespace

@@ -28,7 +28,7 @@ int main(int argc, char** argv) {
     spec.plan.train_windows = windows;
     spec.plan.test_windows = windows;
     spec.seed = core::derive_point_seed(opts.seed, m);
-    const auto result = core::run_experiment(spec);
+    const auto result = core::ExperimentEngine().run(spec);
 
     std::string per_class;
     for (std::size_t c = 0; c < m; ++c) {

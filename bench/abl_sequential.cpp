@@ -37,6 +37,7 @@ int main(int argc, char** argv) {
                          "SPRT accuracy", "fixed @ SPRT budget",
                          "fixed @ full capture", "fixed-n(99%) (Thm 2)"});
 
+  const core::ExperimentEngine engine;
   const double sigmas[] = {0.0, 5.0, 10.0};
   for (std::size_t s = 0; s < 3; ++s) {
     const double sigma_us = sigmas[s];
@@ -48,8 +49,8 @@ int main(int argc, char** argv) {
     spec.seed = core::derive_point_seed(opts.seed, s);
 
     std::vector<std::vector<double>> train = {
-        core::generate_class_stream(spec, 0, train_windows * batch, 1),
-        core::generate_class_stream(spec, 1, train_windows * batch, 1)};
+        engine.class_stream(spec, 0, train_windows * batch, 1),
+        engine.class_stream(spec, 1, train_windows * batch, 1)};
     classify::Adversary adversary(spec.plan.adversary);
     adversary.train(train);
     const double r_hat = analysis::estimate_variance_ratio(train[0], train[1]);
@@ -69,7 +70,7 @@ int main(int argc, char** argv) {
     for (int t = 0; t < trials; ++t) {
       const std::size_t truth = static_cast<std::size_t>(t % 2);
       const auto stream =
-          core::generate_class_stream(spec, truth, batch * 3000, 10 + t);
+          engine.class_stream(spec, truth, batch * 3000, 10 + t);
       const auto out = detector.decide(stream);
       total_piats += static_cast<double>(out.piats_used);
       if (out.decided) {
@@ -88,7 +89,7 @@ int main(int argc, char** argv) {
         std::max(batch, static_cast<std::size_t>(sprt_budget) / batch * batch));
     bank.arm_checkpoints({budget, capture});
     for (std::size_t c = 0; c < 2; ++c) {
-      const auto test = core::generate_class_stream(spec, c, capture, 2);
+      const auto test = engine.class_stream(spec, c, capture, 2);
       bank.consume_test(c, test);
     }
     const double fixed_at_budget =

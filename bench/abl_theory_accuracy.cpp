@@ -36,7 +36,7 @@ int main(int argc, char** argv) {
       spec.plan.train_windows = windows;
       spec.plan.test_windows = windows;
       spec.seed = core::derive_point_seed(opts.seed, salt++);
-      const auto result = core::run_experiment(spec);
+      const auto result = core::ExperimentEngine().run(spec);
 
       table.add_row({util::fmt(sigma_us, 1), std::to_string(n),
                      util::fmt(result.r_hat, 4),

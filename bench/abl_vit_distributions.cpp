@@ -32,7 +32,7 @@ double attack(std::shared_ptr<const sim::TimerPolicy> policy,
       10, static_cast<std::size_t>(120 * effort));
   spec.plan.test_windows = spec.plan.train_windows;
   spec.seed = seed;
-  return core::run_experiment(spec).detection_rate;
+  return core::ExperimentEngine().run(spec).detection_rate;
 }
 
 }  // namespace

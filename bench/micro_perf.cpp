@@ -492,7 +492,7 @@ int main(int argc, char** argv) {
   util::ArgParser args("micro_perf", "hot-path throughput micro benchmarks");
   args.add_flag("--json", "emit machine-readable JSON instead of a table");
   args.add_flag("--smoke", "CI mode: short measurements, small workloads");
-  args.add_option("--min-time", "0.5", "seconds per benchmark measurement");
+  args.add_num("--min-time", 0.5, "seconds per benchmark measurement");
   if (!args.parse(argc, argv)) return 1;
   const bool smoke = args.flag("--smoke");
   const double min_time = smoke ? 0.05 : args.num("--min-time");

@@ -40,16 +40,17 @@ classify::FeatureKind parse_feature(const std::string& name) {
 int main(int argc, char** argv) {
   util::ArgParser args("adversary_study",
                        "step-by-step Bayes traffic-analysis attack");
-  args.add_option("--feature", "variance",
-                  "density plot focus: mean | variance | entropy | mad | iqr");
-  args.add_option("--n", "1000", "PIAT window size");
-  args.add_option("--windows", "150", "training/test windows per class");
-  args.add_option("--seed", "42", "root RNG seed");
+  args.add_choice("--feature", "variance",
+                  {"mean", "variance", "entropy", "mad", "iqr"},
+                  "density plot focus");
+  args.add_count("--n", 1000, "PIAT window size");
+  args.add_count("--windows", 150, "training/test windows per class");
+  args.add_int("--seed", 42, "root RNG seed");
   if (!args.parse(argc, argv)) return 1;
 
   const auto focus = parse_feature(args.str("--feature"));
-  const auto n = static_cast<std::size_t>(args.integer("--n"));
-  const auto windows = static_cast<std::size_t>(args.integer("--windows"));
+  const auto n = args.count("--n");
+  const auto windows = args.count("--windows");
   const auto seed = static_cast<std::uint64_t>(args.integer("--seed"));
 
   const auto scenario = core::lab_zero_cross(core::make_cit());

@@ -62,13 +62,13 @@ std::vector<double> detection_over_day(
 int main(int argc, char** argv) {
   util::ArgParser args("campus_vs_wan",
                        "CIT exposure across a day: campus vs WAN tap");
-  args.add_option("--slots", "8", "time slots across the 24h day");
-  args.add_option("--windows", "100", "train/test windows per class");
-  args.add_option("--seed", "23", "root RNG seed");
+  args.add_count("--slots", 8, "time slots across the 24h day");
+  args.add_count("--windows", 100, "train/test windows per class");
+  args.add_int("--seed", 23, "root RNG seed");
   if (!args.parse(argc, argv)) return 1;
 
-  const auto slots = static_cast<std::size_t>(args.integer("--slots"));
-  const auto windows = static_cast<std::size_t>(args.integer("--windows"));
+  const auto slots = args.count("--slots");
+  const auto windows = args.count("--windows");
   const auto seed = static_cast<std::uint64_t>(args.integer("--seed"));
 
   const auto hours = day_slots(slots);

@@ -55,8 +55,8 @@ StudyPolicies study_policies() {
 int main(int argc, char** argv) {
   util::ArgParser args("frontier_study",
                        "overhead vs detectability across defense policies");
-  args.add_int("--n", 400, "adversary window size (PIATs per window)");
-  args.add_int("--windows", 40, "train/test windows per class");
+  args.add_count("--n", 400, "adversary window size (PIATs per window)");
+  args.add_count("--windows", 40, "train/test windows per class");
   args.add_int("--seed", 20030324, "root RNG seed");
   if (!args.parse(argc, argv)) return 1;
 
@@ -65,8 +65,8 @@ int main(int argc, char** argv) {
   core::FrontierSpec spec;
   spec.scenario = core::lab_zero_cross(core::make_cit());
   spec.policies = policies.all;
-  spec.plan.adversary.window_size = static_cast<std::size_t>(args.integer("--n"));
-  spec.plan.train_windows = static_cast<std::size_t>(args.integer("--windows"));
+  spec.plan.adversary.window_size = args.count("--n");
+  spec.plan.train_windows = args.count("--windows");
   spec.plan.test_windows = spec.plan.train_windows;
   spec.seed = static_cast<std::uint64_t>(args.integer("--seed"));
 

@@ -46,12 +46,12 @@ stats::Summary capture(const core::ExperimentBackend& backend,
 int main(int argc, char** argv) {
   util::ArgParser args("live_loopback",
                        "real-time padding gateway over loopback UDP");
-  args.add_option("--tau-ms", "2", "timer mean interval in milliseconds");
-  args.add_option("--piats", "1500", "PIATs to capture per run");
+  args.add_num("--tau-ms", 2, "timer mean interval in milliseconds");
+  args.add_count("--piats", 1500, "PIATs to capture per run");
   if (!args.parse(argc, argv)) return 1;
 
   const double tau = args.num("--tau-ms") * 1e-3;
-  const auto piats = static_cast<std::size_t>(args.integer("--piats"));
+  const auto piats = args.count("--piats");
 
   // The paper's scenario objects, scaled so the live runs finish quickly:
   // the live backend maps policy tau/sigma onto the real clock.

@@ -48,7 +48,7 @@ using namespace linkpad;
 namespace {
 
 core::PopulationSpec make_spec(const util::ArgParser& args) {
-  const auto windows = static_cast<std::size_t>(args.integer("--windows"));
+  const auto windows = args.count("--windows");
   const double sigma = args.num("--sigma") * 1e-6;
 
   core::PopulationSpec spec;
@@ -59,9 +59,9 @@ core::PopulationSpec make_spec(const util::ArgParser& args) {
   spec.experiment.sample_size_axis = {100, 400};
   spec.experiment.plan.train_windows = windows;
   spec.experiment.plan.test_windows = windows;
-  spec.flows = static_cast<std::size_t>(args.integer("--flows"));
-  spec.sample_flows = static_cast<std::size_t>(args.integer("--sample"));
-  spec.sample_round = static_cast<std::size_t>(args.integer("--round"));
+  spec.flows = args.count("--flows");
+  spec.sample_flows = args.count("--sample");
+  spec.sample_round = args.count("--round");
   spec.seed = static_cast<std::uint64_t>(args.integer("--seed"));
   spec.keep_per_flow = !args.flag("--drop-per-flow");
   return spec;
@@ -69,8 +69,8 @@ core::PopulationSpec make_spec(const util::ArgParser& args) {
 
 core::SweepOptions make_options(const util::ArgParser& args) {
   core::SweepOptions options;
-  options.threads = static_cast<std::size_t>(args.integer("--threads"));
-  options.grain = static_cast<std::size_t>(args.integer("--grain"));
+  options.threads = args.count("--threads");
+  options.grain = args.count("--grain");
   return options;
 }
 
@@ -168,18 +168,18 @@ int main(int argc, char** argv) {
   args.add_flag("--run", "reference mode: single-process run of the campaign");
   args.add_option("--out", "-",
                   "result JSON destination for --merge/--run (- = stdout)");
-  args.add_int("--flows", 64, "concurrent padded flows M");
-  args.add_int("--sample", 0,
-                  "sampled mode: simulate only m seed-derived flows of M "
-                  "(0 = exhaustive); contention stays at M");
-  args.add_int("--round", 0,
-                  "sampled mode: which disjoint stratum of the permutation");
-  args.add_int("--windows", 4, "train/test windows per class at n_max");
+  args.add_count("--flows", 64, "concurrent padded flows M");
+  args.add_count("--sample", 0,
+                 "sampled mode: simulate only m seed-derived flows of M "
+                 "(0 = exhaustive); contention stays at M");
+  args.add_count("--round", 0,
+                 "sampled mode: which disjoint stratum of the permutation");
+  args.add_count("--windows", 4, "train/test windows per class at n_max");
   args.add_num("--sigma", 0,
                   "VIT timer std-dev in microseconds (0 = CIT)");
   args.add_int("--seed", 7, "root RNG seed");
-  args.add_int("--grain", 0, "chunk grain (0 = flow-count default)");
-  args.add_int("--threads", 0, "worker threads (0 = hardware)");
+  args.add_count("--grain", 0, "chunk grain (0 = flow-count default)");
+  args.add_count("--threads", 0, "worker threads (0 = hardware)");
   args.add_flag("--drop-per-flow",
                 "aggregate-only run (omits per-flow rates from the JSON)");
   args.add_flag("--progress",

@@ -31,7 +31,7 @@ void attack(const core::Scenario& scenario, std::uint64_t seed) {
     spec.plan.train_windows = 120;
     spec.plan.test_windows = 120;
     spec.seed = seed;
-    const auto result = core::run_experiment(spec);
+    const auto result = core::ExperimentEngine().run(spec);
     std::printf("  %-16s detection rate %5.1f%%  (theory %5.1f%%, r_hat %.3f)\n",
                 classify::feature_name(feature).c_str(),
                 100.0 * result.detection_rate,
@@ -44,7 +44,7 @@ void attack(const core::Scenario& scenario, std::uint64_t seed) {
 
 int main(int argc, char** argv) {
   util::ArgParser args("quickstart", "CIT leaks, VIT does not — the paper in one run");
-  args.add_option("--seed", "7", "root RNG seed");
+  args.add_int("--seed", 7, "root RNG seed");
   if (!args.parse(argc, argv)) return 1;
   const auto seed = static_cast<std::uint64_t>(args.integer("--seed"));
 

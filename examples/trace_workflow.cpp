@@ -21,12 +21,12 @@ int main(int argc, char** argv) {
   util::ArgParser args("trace_workflow",
                        "capture PIAT traces to disk, analyze offline");
   args.add_option("--dir", "/tmp/linkpad_traces", "output directory");
-  args.add_option("--piats", "60000", "PIATs captured per class");
-  args.add_option("--seed", "31", "root RNG seed");
+  args.add_count("--piats", 60000, "PIATs captured per class");
+  args.add_int("--seed", 31, "root RNG seed");
   if (!args.parse(argc, argv)) return 1;
 
   const std::string dir = args.str("--dir");
-  const auto piats = static_cast<std::size_t>(args.integer("--piats"));
+  const auto piats = args.count("--piats");
   std::filesystem::create_directories(dir);
 
   // --- Capture phase: dump one trace per payload rate.
@@ -40,7 +40,7 @@ int main(int argc, char** argv) {
   for (std::size_t c = 0; c < 2; ++c) {
     core::Trace trace;
     trace.description = spec.scenario.name + " class " + names[c];
-    trace.piats = core::generate_class_stream(spec, c, piats, 1);
+    trace.piats = core::ExperimentEngine().class_stream(spec, c, piats, 1);
     core::save_trace_binary(dir + "/" + names[c] + ".lpt", trace);
     core::save_trace_csv(dir + "/" + names[c] + ".csv", trace);
     std::printf("[capture]   %s: %zu PIATs (%s)\n", names[c].c_str(),

@@ -21,9 +21,9 @@ using namespace linkpad;
 int main(int argc, char** argv) {
   util::ArgParser args("vit_design",
                        "configure VIT padding for a target detection bound");
-  args.add_option("--vmax", "0.55", "tolerated detection rate (0.5..1)");
-  args.add_option("--nmax", "5000", "adversary's largest credible sample");
-  args.add_option("--seed", "11", "root RNG seed");
+  args.add_num("--vmax", 0.55, "tolerated detection rate (0.5..1)");
+  args.add_num("--nmax", 5000, "adversary's largest credible sample");
+  args.add_int("--seed", 11, "root RNG seed");
   if (!args.parse(argc, argv)) return 1;
 
   const double v_max = args.num("--vmax");
@@ -80,7 +80,7 @@ int main(int argc, char** argv) {
   spec.plan.train_windows = 50;
   spec.plan.test_windows = 50;
   spec.seed = core::derive_point_seed(seed, 1);
-  const auto result = core::run_experiment(spec);
+  const auto result = core::ExperimentEngine().run(spec);
   for (const auto& outcome : result.per_feature) {
     std::printf("    %-16s measured detection %.4f  (target <= %.2f)\n",
                 classify::feature_name(outcome.feature).c_str(),

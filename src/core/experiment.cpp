@@ -506,24 +506,6 @@ ExperimentResult ExperimentEngine::run(const ExperimentSpec& spec) const {
   return result;
 }
 
-// ----------------------------------------------------------------- legacy
-
-std::vector<double> generate_class_stream(const ExperimentSpec& spec,
-                                          std::size_t class_index,
-                                          std::size_t piats,
-                                          std::uint64_t stream_salt) {
-  return ExperimentEngine().class_stream(spec, class_index, piats, stream_salt);
-}
-
-ExperimentResult run_experiment(const ExperimentSpec& spec) {
-  return ExperimentEngine().run(spec);
-}
-
-std::vector<ExperimentResult> run_sweep(
-    const std::vector<ExperimentSpec>& specs) {
-  return SweepRunner().run(specs).results;
-}
-
 // -------------------------------------------------------------- SweepRunner
 
 SweepRunner::SweepRunner(const ExperimentBackend& backend, SweepOptions options)
@@ -562,45 +544,21 @@ SweepReport SweepRunner::run(
     if (options_.progress) options_.progress(finished, count);
   };
 
+  // One engine per worker slot, alive across every chunk the slot drains —
+  // the scratch-reuse shape PopulationEngine builds on.
   const std::size_t grain = std::max<std::size_t>(options_.grain, 1);
-  auto dispatch = [&](util::ThreadPool& pool) {
-    switch (options_.execution) {
-      case util::ExecutionPolicy::kSerial: {
-        const ExperimentEngine engine(*backend_, options_.batch_piats);
-        for (std::size_t i = 0; i < count; ++i) run_point(engine, i);
-        return;
-      }
-      case util::ExecutionPolicy::kMultithread: {
-        const ExperimentEngine engine(*backend_, options_.batch_piats);
-        util::parallel_for(
-            pool, count, [&](std::size_t i) { run_point(engine, i); }, grain);
-        return;
-      }
-      case util::ExecutionPolicy::kChunked: {
-        // One engine per worker slot, alive across every chunk the slot
-        // drains — the scratch-reuse shape PopulationEngine builds on.
-        std::vector<ExperimentEngine> engines(
-            util::chunk_slots(pool, count, grain),
-            ExperimentEngine(*backend_, options_.batch_piats));
-        util::parallel_for_chunks(
-            pool, count, grain,
-            [&](std::size_t slot, std::size_t begin, std::size_t end) {
-              for (std::size_t i = begin; i < end; ++i) {
-                run_point(engines[slot], i);
-              }
-            });
-        return;
-      }
-    }
-  };
-
-  if (options_.execution == util::ExecutionPolicy::kSerial ||
-      options_.threads == 0) {
-    dispatch(util::ThreadPool::global());
-  } else {
-    util::ThreadPool pool(options_.threads);
-    dispatch(pool);
-  }
+  util::with_pool(options_.threads, [&](util::ThreadPool& pool) {
+    std::vector<ExperimentEngine> engines(
+        util::chunk_slots(pool, count, grain),
+        ExperimentEngine(*backend_, options_.batch_piats));
+    util::parallel_for_chunks(
+        pool, count, grain,
+        [&](std::size_t slot, std::size_t begin, std::size_t end) {
+          for (std::size_t i = begin; i < end; ++i) {
+            run_point(engines[slot], i);
+          }
+        });
+  });
 
   report.completed_count = done.load();
   return report;

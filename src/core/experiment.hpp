@@ -23,7 +23,6 @@
 #include "core/scenarios.hpp"
 #include "stats/bootstrap.hpp"
 #include "util/rng.hpp"
-#include "util/thread_pool.hpp"
 
 namespace linkpad::core {
 
@@ -240,18 +239,6 @@ class ExperimentEngine {
   std::size_t batch_piats_;
 };
 
-/// Run one experiment on the default simulated backend.
-ExperimentResult run_experiment(const ExperimentSpec& spec);
-
-/// Run many experiments concurrently (order of results == order of specs).
-std::vector<ExperimentResult> run_sweep(const std::vector<ExperimentSpec>& specs);
-
-/// Generate one class's PIAT stream for a spec (exposed for examples/tests).
-std::vector<double> generate_class_stream(const ExperimentSpec& spec,
-                                          std::size_t class_index,
-                                          std::size_t piats,
-                                          std::uint64_t stream_salt);
-
 // ------------------------------------------------------------------ sweeps
 
 /// Knobs for a sharded sweep.
@@ -261,17 +248,10 @@ struct SweepOptions {
   std::size_t threads = 0;
   /// PIAT pull size per PiatSource::collect call.
   std::size_t batch_piats = 8192;
-  /// Dispatch shape (util::ExecutionPolicy): kSerial runs every point
-  /// inline on the caller, kMultithread submits one pool task per point,
-  /// kChunked drains grain-sized runs of points per pool task with one
-  /// ExperimentEngine per worker slot. Results are bit-identical under
-  /// every policy — the choice selects a schedule, not a computation.
-  util::ExecutionPolicy execution = util::ExecutionPolicy::kChunked;
-  /// Points handed to a worker per claim under kChunked (and the
-  /// parallel_for grain under kMultithread). 0 = policy default: 1 for
-  /// sweeps, a flow-count-derived grain for PopulationEngine. The chunk
-  /// partition derives from (count, grain) only, so grain never perturbs
-  /// results either.
+  /// Points handed to a worker per claim (util::parallel_for_chunks, one
+  /// ExperimentEngine per worker slot). 0 = default: 1 for sweeps, a
+  /// flow-count-derived grain for PopulationEngine. The chunk partition
+  /// derives from (count, grain) only, so grain never perturbs results.
   std::size_t grain = 0;
   /// Process-sharding of a population campaign (DESIGN.md §2.10): this
   /// process claims chunk c of the (flows, grain) partition iff

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <functional>
 #include <limits>
 #include <stdexcept>
 
@@ -10,7 +11,6 @@
 #include "core/piat_model.hpp"
 #include "stats/kde.hpp"
 #include "util/check.hpp"
-#include "util/thread_pool.hpp"
 
 namespace linkpad::core {
 
@@ -34,7 +34,7 @@ const ExperimentBackend& backend_of(const FigureOptions& options) {
 
 /// Shared worker: one streaming DetectorBank pass per point — every feature
 /// AND every sample size is detected over the SAME simulated capture (one
-/// simulation, axis × features verdicts, DESIGN.md §2.6). Returns
+/// simulation, axis × features verdicts, DESIGN.md §2.6). A point yields
 /// {empirical rate, theory prediction} per (axis entry, feature); theory is
 /// evaluated at the prefix's measured r̂ (NaN for extension features
 /// without a closed form).
@@ -43,11 +43,13 @@ struct FeaturePoint {
   double theory = 0.5;
 };
 
-std::vector<std::vector<FeaturePoint>> evaluate_axis(
-    const ExperimentBackend& backend, const Scenario& scenario,
-    const std::vector<classify::FeatureKind>& features,
-    const std::vector<std::size_t>& sample_sizes, std::size_t train_windows,
-    std::size_t test_windows, std::uint64_t seed) {
+using AxisPoints = std::vector<std::vector<FeaturePoint>>;
+
+ExperimentSpec axis_spec(const Scenario& scenario,
+                         const std::vector<classify::FeatureKind>& features,
+                         const std::vector<std::size_t>& sample_sizes,
+                         std::size_t train_windows, std::size_t test_windows,
+                         std::uint64_t seed) {
   ExperimentSpec spec;
   spec.scenario = scenario;
   spec.plan.adversary.feature = features.front();
@@ -63,9 +65,13 @@ std::vector<std::vector<FeaturePoint>> evaluate_axis(
   spec.max_windows_per_point =
       2 * std::max(train_windows, test_windows);
   spec.seed = seed;
-  const auto result = ExperimentEngine(backend).run(spec);
+  return spec;
+}
 
-  std::vector<std::vector<FeaturePoint>> out;
+AxisPoints axis_points(const ExperimentResult& result,
+                       const std::vector<classify::FeatureKind>& features,
+                       const std::vector<std::size_t>& sample_sizes) {
+  AxisPoints out;
   out.reserve(sample_sizes.size());
   for (const std::size_t n : sample_sizes) {
     const auto& point = result.at_sample_size(n);
@@ -84,13 +90,42 @@ std::vector<std::vector<FeaturePoint>> evaluate_axis(
   return out;
 }
 
-std::vector<FeaturePoint> evaluate_point(
-    const ExperimentBackend& backend, const Scenario& scenario,
-    const std::vector<classify::FeatureKind>& features, std::size_t n,
-    std::size_t train_windows, std::size_t test_windows, std::uint64_t seed) {
-  return evaluate_axis(backend, scenario, features, {n}, train_windows,
-                       test_windows, seed)
-      .front();
+AxisPoints evaluate_axis(const ExperimentBackend& backend,
+                         const Scenario& scenario,
+                         const std::vector<classify::FeatureKind>& features,
+                         const std::vector<std::size_t>& sample_sizes,
+                         std::size_t train_windows, std::size_t test_windows,
+                         std::uint64_t seed) {
+  return axis_points(
+      ExperimentEngine(backend).run(axis_spec(scenario, features, sample_sizes,
+                                              train_windows, test_windows,
+                                              seed)),
+      features, sample_sizes);
+}
+
+/// One figure point per x through SweepRunner: point i runs the spec
+/// evaluate_axis would build for scenario_for(i), seeded with
+/// derive_point_seed(options.seed, i). The x axis changes the SCENARIO, so
+/// it cannot collapse into one capture; the sample-size axis within a
+/// point is where prefix replay applies.
+std::vector<AxisPoints> sweep_axis(
+    const FigureOptions& options, std::size_t count,
+    const std::function<Scenario(std::size_t)>& scenario_for,
+    const std::vector<classify::FeatureKind>& features,
+    const std::vector<std::size_t>& sample_sizes, std::size_t train_windows,
+    std::size_t test_windows) {
+  const auto report = SweepRunner(backend_of(options)).run(
+      count, [&](std::size_t i) {
+        return axis_spec(scenario_for(i), features, sample_sizes,
+                         train_windows, test_windows,
+                         derive_point_seed(options.seed, i));
+      });
+  std::vector<AxisPoints> out;
+  out.reserve(count);
+  for (const auto& result : report.results) {
+    out.push_back(axis_points(result, features, sample_sizes));
+  }
+  return out;
 }
 
 const std::vector<classify::FeatureKind> kPaperFeatures = {
@@ -107,11 +142,11 @@ std::vector<double> detection_rates_on_scenario(
     std::size_t test_windows, std::uint64_t seed,
     const ExperimentBackend* backend) {
   const auto points =
-      evaluate_point(backend != nullptr ? *backend : sim_backend(), scenario,
-                     features, window_size, train_windows, test_windows, seed);
+      evaluate_axis(backend != nullptr ? *backend : sim_backend(), scenario,
+                    features, {window_size}, train_windows, test_windows, seed);
   std::vector<double> rates;
-  rates.reserve(points.size());
-  for (const auto& p : points) rates.push_back(p.empirical);
+  rates.reserve(features.size());
+  for (const auto& p : points.front()) rates.push_back(p.empirical);
   return rates;
 }
 
@@ -209,25 +244,18 @@ FigureSeries fig5a_detection_vs_sigma(const FigureOptions& options) {
       classify::FeatureKind::kSampleEntropy,
   };
 
-  // The σ_T axis changes the SCENARIO, so it cannot collapse into one
-  // capture; each sigma keeps its own simulation with a canonically
-  // derived seed (the n axis within a sigma point is where prefix replay
-  // applies — see fig5b_n99_vs_sigma_empirical).
-  std::vector<std::vector<FeaturePoint>> points(fig.x.size());
-  util::parallel_for(fig.x.size(), [&](std::size_t i) {
-    const auto scenario = lab_zero_cross(make_vit(fig.x[i]));
-    points[i] = evaluate_point(backend_of(options), scenario, features, n,
-                               train_w, test_w,
-                               derive_point_seed(options.seed, i));
-  });
+  const auto points = sweep_axis(
+      options, fig.x.size(),
+      [&](std::size_t i) { return lab_zero_cross(make_vit(fig.x[i])); },
+      features, {n}, train_w, test_w);
 
   const char* names[] = {"sample variance", "sample entropy"};
   for (std::size_t f = 0; f < 2; ++f) {
     Curve emp{std::string(names[f]) + " experiment", {}};
     Curve thy{std::string(names[f]) + " theory", {}};
     for (const auto& p : points) {
-      emp.y.push_back(p[f].empirical);
-      thy.y.push_back(p[f].theory);
+      emp.y.push_back(p.front()[f].empirical);
+      thy.y.push_back(p.front()[f].theory);
     }
     fig.curves.push_back(std::move(emp));
     fig.curves.push_back(std::move(thy));
@@ -296,13 +324,10 @@ FigureSeries fig5b_n99_vs_sigma_empirical(const FigureOptions& options) {
       classify::FeatureKind::kSampleEntropy,
   };
 
-  std::vector<std::vector<std::vector<FeaturePoint>>> points(fig.x.size());
-  util::parallel_for(fig.x.size(), [&](std::size_t i) {
-    const auto scenario = lab_zero_cross(make_vit(fig.x[i]));
-    points[i] =
-        evaluate_axis(backend_of(options), scenario, features, axis, train_w,
-                      test_w, derive_point_seed(options.seed, i));
-  });
+  const auto points = sweep_axis(
+      options, fig.x.size(),
+      [&](std::size_t i) { return lab_zero_cross(make_vit(fig.x[i])); },
+      features, axis, train_w, test_w);
 
   // Theory companion curves: Theorem 2/3 inversion at the calibrated
   // effective variance ratio, exactly as fig5b_n99_vs_sigma.
@@ -353,18 +378,15 @@ FigureSeries fig6_detection_vs_utilization(const FigureOptions& options) {
   const std::size_t train_w = scaled(250, options.effort);
   const std::size_t test_w = scaled(250, options.effort);
 
-  std::vector<std::vector<FeaturePoint>> points(fig.x.size());
-  util::parallel_for(fig.x.size(), [&](std::size_t i) {
-    const auto scenario = lab_cross_traffic(make_cit(), fig.x[i]);
-    points[i] = evaluate_point(backend_of(options), scenario, kPaperFeatures, n,
-                               train_w, test_w,
-                               derive_point_seed(options.seed, i));
-  });
+  const auto points = sweep_axis(
+      options, fig.x.size(),
+      [&](std::size_t i) { return lab_cross_traffic(make_cit(), fig.x[i]); },
+      kPaperFeatures, {n}, train_w, test_w);
 
   const char* names[] = {"sample mean", "sample variance", "sample entropy"};
   for (std::size_t f = 0; f < 3; ++f) {
     Curve emp{names[f], {}};
-    for (const auto& p : points) emp.y.push_back(p[f].empirical);
+    for (const auto& p : points) emp.y.push_back(p.front()[f].empirical);
     fig.curves.push_back(std::move(emp));
   }
   return fig;
@@ -388,19 +410,18 @@ FigureSeries fig8_detection_vs_hour(bool wan_path,
   const std::size_t train_w = scaled(150, options.effort);
   const std::size_t test_w = scaled(150, options.effort);
 
-  std::vector<std::vector<FeaturePoint>> points(fig.x.size());
-  util::parallel_for(fig.x.size(), [&](std::size_t i) {
-    const auto scenario = wan_path ? wan(make_cit(), fig.x[i])
-                                   : campus(make_cit(), fig.x[i]);
-    points[i] = evaluate_point(backend_of(options), scenario, kPaperFeatures, n,
-                               train_w, test_w,
-                               derive_point_seed(options.seed, i));
-  });
+  const auto points = sweep_axis(
+      options, fig.x.size(),
+      [&](std::size_t i) {
+        return wan_path ? wan(make_cit(), fig.x[i])
+                        : campus(make_cit(), fig.x[i]);
+      },
+      kPaperFeatures, {n}, train_w, test_w);
 
   const char* names[] = {"sample mean", "sample variance", "sample entropy"};
   for (std::size_t f = 0; f < 3; ++f) {
     Curve emp{names[f], {}};
-    for (const auto& p : points) emp.y.push_back(p[f].empirical);
+    for (const auto& p : points) emp.y.push_back(p.front()[f].empirical);
     fig.curves.push_back(std::move(emp));
   }
   return fig;

@@ -208,85 +208,73 @@ std::vector<ChunkAggregate> PopulationEngine::run_chunks(
   // of a Scenario copy per flow whose shared_ptr refcounts ping-pong
   // between threads. Dispatch is over chunk-id slots (grain 1 in chunk
   // space): one atomic claim per chunk, exactly like the full run.
-  auto make_body = [&](std::vector<std::optional<ExperimentSpec>>& slot_specs) {
-    return [&](std::size_t slot, std::size_t chunk_begin,
-               std::size_t chunk_end) {
-      if (!slot_specs[slot]) {
-        slot_specs[slot] = spec.experiment;
-        slot_specs[slot]->scenario = loaded;
-      }
-      ExperimentSpec& flow_spec = *slot_specs[slot];
-      for (std::size_t slot_idx = chunk_begin; slot_idx < chunk_end;
-           ++slot_idx) {
-        const std::size_t chunk_id = chunk_ids[slot_idx];
-        const std::size_t begin = chunk_id * grain;
-        const std::size_t end = std::min(flows, begin + grain);
-        ChunkAggregate& chunk = chunks[slot_idx];
-        chunk.first_flow = begin;
-        const std::size_t count = end - begin;
-        chunk.rates.resize(ns.size());
-        for (auto& r : chunk.rates) r.reserve(count);
-        chunk.overhead.reserve(count);
-        chunk.cpd_kinds = cpd_kinds;
-        chunk.cpd.resize(n_cpd);
-        for (auto& row : chunk.cpd) row.reserve(count);
-        if (spec.keep_per_flow) chunk.per_flow.reserve(count);
+  std::vector<std::optional<ExperimentSpec>> slot_specs;
+  auto body = [&](std::size_t slot, std::size_t chunk_begin,
+                  std::size_t chunk_end) {
+    if (!slot_specs[slot]) {
+      slot_specs[slot] = spec.experiment;
+      slot_specs[slot]->scenario = loaded;
+    }
+    ExperimentSpec& flow_spec = *slot_specs[slot];
+    for (std::size_t slot_idx = chunk_begin; slot_idx < chunk_end;
+         ++slot_idx) {
+      const std::size_t chunk_id = chunk_ids[slot_idx];
+      const std::size_t begin = chunk_id * grain;
+      const std::size_t end = std::min(flows, begin + grain);
+      ChunkAggregate& chunk = chunks[slot_idx];
+      chunk.first_flow = begin;
+      const std::size_t count = end - begin;
+      chunk.rates.resize(ns.size());
+      for (auto& r : chunk.rates) r.reserve(count);
+      chunk.overhead.reserve(count);
+      chunk.cpd_kinds = cpd_kinds;
+      chunk.cpd.resize(n_cpd);
+      for (auto& row : chunk.cpd) row.reserve(count);
+      if (spec.keep_per_flow) chunk.per_flow.reserve(count);
 
-        for (std::size_t f = begin; f < end; ++f) {
-          const std::size_t flow_id = spec.is_sampled() ? sampled_ids[f] : f;
-          flow_spec.seed = derive_point_seed(spec.seed, flow_id);
-          ExperimentResult result = engine.run(flow_spec);
-          LINKPAD_ENSURES(result.by_sample_size.size() == ns.size());
-          LINKPAD_ENSURES(result.cpd.size() == n_cpd);
-          for (std::size_t i = 0; i < ns.size(); ++i) {
-            chunk.rates[i].push_back(
-                result.by_sample_size[i].per_feature.front().detection_rate);
-          }
-          for (std::size_t j = 0; j < n_cpd; ++j) {
-            const classify::CpdOutcome& out = result.cpd[j];
-            chunk.cpd[j].push_back({out.ttd.detected, out.ttd.n_at_detection,
-                                    out.ttd.false_alarms, out.threshold});
-          }
-          FlowOverhead oh;
-          if (const auto padding = result.mean_padding_bps()) {
-            oh.has_cost = true;
-            oh.padding_bps = *padding;
-            oh.wire_bps = result.mean_wire_bps().value_or(0.0);
-            oh.dummy_fraction = result.mean_dummy_fraction().value_or(0.0);
-          }
-          if (const auto delay = result.worst_delay_p95()) {
-            oh.has_delay = true;
-            oh.delay_p95 = *delay;
-          }
-          chunk.overhead.push_back(oh);
-          if (spec.keep_per_flow) chunk.per_flow.push_back(std::move(result));
-          const std::size_t finished = done.fetch_add(1) + 1;
-          if (options_.progress) options_.progress(finished, shard_flows);
+      for (std::size_t f = begin; f < end; ++f) {
+        const std::size_t flow_id = spec.is_sampled() ? sampled_ids[f] : f;
+        flow_spec.seed = derive_point_seed(spec.seed, flow_id);
+        ExperimentResult result = engine.run(flow_spec);
+        LINKPAD_ENSURES(result.by_sample_size.size() == ns.size());
+        LINKPAD_ENSURES(result.cpd.size() == n_cpd);
+        for (std::size_t i = 0; i < ns.size(); ++i) {
+          chunk.rates[i].push_back(
+              result.by_sample_size[i].per_feature.front().detection_rate);
         }
-        if (on_chunk) {
-          const std::lock_guard<std::mutex> lock(chunk_mutex);
-          on_chunk(chunk_id, chunk);
+        for (std::size_t j = 0; j < n_cpd; ++j) {
+          const classify::CpdOutcome& out = result.cpd[j];
+          chunk.cpd[j].push_back({out.ttd.detected, out.ttd.n_at_detection,
+                                  out.ttd.false_alarms, out.threshold});
         }
+        FlowOverhead oh;
+        if (const auto padding = result.mean_padding_bps()) {
+          oh.has_cost = true;
+          oh.padding_bps = *padding;
+          oh.wire_bps = result.mean_wire_bps().value_or(0.0);
+          oh.dummy_fraction = result.mean_dummy_fraction().value_or(0.0);
+        }
+        if (const auto delay = result.worst_delay_p95()) {
+          oh.has_delay = true;
+          oh.delay_p95 = *delay;
+        }
+        chunk.overhead.push_back(oh);
+        if (spec.keep_per_flow) chunk.per_flow.push_back(std::move(result));
+        const std::size_t finished = done.fetch_add(1) + 1;
+        if (options_.progress) options_.progress(finished, shard_flows);
       }
-    };
+      if (on_chunk) {
+        const std::lock_guard<std::mutex> lock(chunk_mutex);
+        on_chunk(chunk_id, chunk);
+      }
+    }
   };
 
   const std::size_t n_chunks = chunk_ids.size();
-  if (options_.execution == util::ExecutionPolicy::kSerial) {
-    std::vector<std::optional<ExperimentSpec>> slot_specs(1);
-    auto body = make_body(slot_specs);
-    for (std::size_t c = 0; c < n_chunks; ++c) body(0, c, c + 1);
-  } else if (options_.threads == 0) {
-    util::ThreadPool& pool = util::ThreadPool::global();
-    std::vector<std::optional<ExperimentSpec>> slot_specs(
-        util::chunk_slots(pool, n_chunks, 1));
-    util::parallel_for_chunks(pool, n_chunks, 1, make_body(slot_specs));
-  } else {
-    util::ThreadPool pool(options_.threads);
-    std::vector<std::optional<ExperimentSpec>> slot_specs(
-        util::chunk_slots(pool, n_chunks, 1));
-    util::parallel_for_chunks(pool, n_chunks, 1, make_body(slot_specs));
-  }
+  util::with_pool(options_.threads, [&](util::ThreadPool& pool) {
+    slot_specs.resize(util::chunk_slots(pool, n_chunks, 1));
+    util::parallel_for_chunks(pool, n_chunks, 1, body);
+  });
   LINKPAD_ENSURES(done.load() == shard_flows);
   return chunks;
 }

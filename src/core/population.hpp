@@ -380,11 +380,10 @@ struct PopulationResult {
 /// aggregates them. Accepts SweepOptions (threads / batch_piats / grain /
 /// progress, where progress counts finished flows); early_stop must be
 /// unset — skipping flows would break the population aggregates.
-/// Dispatch is chunked by construction (flows are many and cheap):
-/// execution = kSerial forces the inline reference schedule, every other
-/// policy runs grain-aligned chunks over the pool with one spec copy per
-/// worker slot. grain = 0 picks a flow-count-derived default; any grain
-/// yields bit-identical results.
+/// Flows run in grain-aligned chunks (util::parallel_for_chunks) with one
+/// spec copy per worker slot; threads = 1 is the inline reference
+/// schedule. grain = 0 picks a flow-count-derived default; any grain and
+/// any thread count yield bit-identical results.
 class PopulationEngine {
  public:
   explicit PopulationEngine(const ExperimentBackend& backend = sim_backend(),

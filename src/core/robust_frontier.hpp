@@ -49,9 +49,9 @@ struct TuneOptions {
   /// doubles every round until it reaches the plan's full budget. Must be
   /// ≥ 2 (a window detector needs two training windows per class).
   std::size_t min_windows = 8;
-  /// Sharding knobs for the per-round SweepRunner (threads / execution /
-  /// grain / batch). `early_stop` must be unset — halving ranks every
-  /// surviving candidate, a partial round ranks nothing.
+  /// Sharding knobs for the per-round SweepRunner (threads / grain /
+  /// batch). `early_stop` must be unset — halving ranks every surviving
+  /// candidate, a partial round ranks nothing.
   SweepOptions sweep;
 };
 

@@ -2,42 +2,11 @@
 
 #include <algorithm>
 #include <cmath>
-#include <vector>
 
-#include "stats/descriptive.hpp"
 #include "stats/special_math.hpp"
 #include "util/check.hpp"
 
 namespace linkpad::stats {
-
-BootstrapResult bootstrap_ci(
-    std::span<const double> data,
-    const std::function<double(std::span<const double>)>& statistic,
-    int resamples, double confidence, util::Xoshiro256pp& rng) {
-  LINKPAD_EXPECTS(!data.empty());
-  LINKPAD_EXPECTS(resamples > 1);
-  LINKPAD_EXPECTS(confidence > 0.0 && confidence < 1.0);
-
-  BootstrapResult result;
-  result.estimate = statistic(data);
-
-  const std::size_t n = data.size();
-  std::vector<double> resample(n);
-  std::vector<double> stats;
-  stats.reserve(static_cast<std::size_t>(resamples));
-  for (int b = 0; b < resamples; ++b) {
-    for (std::size_t i = 0; i < n; ++i) {
-      const std::size_t j = static_cast<std::size_t>(rng() % n);
-      resample[i] = data[j];
-    }
-    stats.push_back(statistic(resample));
-  }
-  std::sort(stats.begin(), stats.end());
-  const double alpha = 1.0 - confidence;
-  result.lo = quantile_sorted(stats, alpha / 2.0);
-  result.hi = quantile_sorted(stats, 1.0 - alpha / 2.0);
-  return result;
-}
 
 BootstrapResult proportion_ci(std::size_t successes, std::size_t trials,
                               double confidence) {

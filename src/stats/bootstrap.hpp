@@ -1,14 +1,11 @@
-// Percentile bootstrap confidence intervals.
+// Confidence intervals on empirical detection rates.
 //
-// Empirical detection rates in the figure drivers are Monte-Carlo estimates;
-// EXPERIMENTS.md reports them with bootstrap CIs so "paper shape vs measured
-// shape" comparisons are honest about noise.
+// Detection rates are Monte-Carlo estimates; every FeatureOutcome carries a
+// Wilson interval (proportion_ci) so "paper shape vs measured shape"
+// comparisons are honest about noise.
 #pragma once
 
-#include <functional>
-#include <span>
-
-#include "util/rng.hpp"
+#include <cstddef>
 
 namespace linkpad::stats {
 
@@ -19,16 +16,9 @@ struct BootstrapResult {
   double hi = 0.0;
 };
 
-/// Percentile bootstrap for an arbitrary statistic of a 1-D sample.
-/// `confidence` is the two-sided level (e.g. 0.95).
-BootstrapResult bootstrap_ci(
-    std::span<const double> data,
-    const std::function<double(std::span<const double>)>& statistic,
-    int resamples, double confidence, util::Xoshiro256pp& rng);
-
-/// Special case used by the evaluation harness: CI for a Bernoulli success
-/// probability from `successes` out of `trials` (Wilson score interval —
-/// cheaper and better behaved than resampling for proportions).
+/// CI for a Bernoulli success probability from `successes` out of `trials`
+/// (Wilson score interval — cheaper and better behaved than resampling for
+/// proportions).
 BootstrapResult proportion_ci(std::size_t successes, std::size_t trials,
                               double confidence);
 

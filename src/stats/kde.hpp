@@ -40,15 +40,6 @@ class GaussianKde {
   /// Bayes comparisons stay well-defined.
   [[nodiscard]] double log_pdf(double x) const;
 
-  /// Evaluate on a grid of `points` equally spaced over [lo, hi]
-  /// (for plotting, e.g. Fig 4a). Grid points ascend, so the ±8h kernel
-  /// window slides monotonically: one sweep over the sorted sample replaces
-  /// a fresh binary search per grid point (O(n + m) window management for n
-  /// samples / m points), with results bit-identical to calling pdf() at
-  /// every grid point.
-  [[nodiscard]] std::vector<std::pair<double, double>> evaluate_grid(
-      double lo, double hi, std::size_t points) const;
-
  private:
   std::vector<double> sorted_;
   double bandwidth_ = 0.0;

@@ -1,5 +1,6 @@
 #include "util/cli.hpp"
 
+#include <algorithm>
 #include <cstdio>
 #include <iostream>
 #include <sstream>
@@ -11,9 +12,9 @@ namespace linkpad::util {
 
 namespace {
 
-/// Strict whole-string parses; nullopt on any trailing junk. Shared by the
-/// typed accessors AND parse()'s typed-option validation so both reject
-/// exactly the same inputs.
+/// Strict whole-string parses; nullopt on any trailing junk. parse()
+/// validates every typed value with these, so the typed accessors can
+/// rely on them succeeding.
 std::optional<std::int64_t> parse_integer_text(const std::string& text) {
   try {
     std::size_t used = 0;
@@ -36,6 +37,12 @@ std::optional<double> parse_number_text(const std::string& text) {
   }
 }
 
+std::string join_choices(const std::vector<std::string>& choices) {
+  std::string out;
+  for (const auto& c : choices) out += (out.empty() ? "" : "|") + c;
+  return out;
+}
+
 }  // namespace
 
 ArgParser::ArgParser(std::string program, std::string summary)
@@ -49,25 +56,42 @@ void ArgParser::declare(const std::string& name, Spec spec) {
 }
 
 void ArgParser::add_flag(const std::string& name, const std::string& help_text) {
-  declare(name, Spec{help_text, "false", Kind::kFlag});
+  declare(name, Spec{help_text, "false", Kind::kFlag, {}});
 }
 
 void ArgParser::add_option(const std::string& name,
                            const std::string& default_value,
                            const std::string& help_text) {
-  declare(name, Spec{help_text, default_value, Kind::kString});
+  declare(name, Spec{help_text, default_value, Kind::kString, {}});
 }
 
 void ArgParser::add_int(const std::string& name, std::int64_t default_value,
                         const std::string& help_text) {
-  declare(name, Spec{help_text, std::to_string(default_value), Kind::kInt});
+  declare(name,
+          Spec{help_text, std::to_string(default_value), Kind::kInt, {}});
+}
+
+void ArgParser::add_count(const std::string& name, std::size_t default_value,
+                          const std::string& help_text) {
+  declare(name,
+          Spec{help_text, std::to_string(default_value), Kind::kCount, {}});
 }
 
 void ArgParser::add_num(const std::string& name, double default_value,
                         const std::string& help_text) {
   char buf[32];
   std::snprintf(buf, sizeof(buf), "%g", default_value);
-  declare(name, Spec{help_text, buf, Kind::kNum});
+  declare(name, Spec{help_text, buf, Kind::kNum, {}});
+}
+
+void ArgParser::add_choice(const std::string& name,
+                           const std::string& default_value,
+                           std::vector<std::string> choices,
+                           const std::string& help_text) {
+  LINKPAD_EXPECTS(std::find(choices.begin(), choices.end(), default_value) !=
+                  choices.end());
+  declare(name,
+          Spec{help_text, default_value, Kind::kChoice, std::move(choices)});
 }
 
 bool ArgParser::parse(int argc, const char* const* argv) {
@@ -106,16 +130,24 @@ bool ArgParser::parse(int argc, const char* const* argv) {
     }
     // Typed options are validated HERE, while the offending token is still
     // attributable to the command line — not at first accessor use.
-    if (it->second.kind == Kind::kInt &&
-        !parse_integer_text(values_[name]).has_value()) {
-      std::cerr << program_ << ": option '" << name << "': '" << values_[name]
-                << "' is not an integer\n";
-      return false;
+    const std::string& value = values_[name];
+    const Spec& spec = it->second;
+    std::string problem;
+    if (spec.kind == Kind::kInt && !parse_integer_text(value)) {
+      problem = "is not an integer";
+    } else if (spec.kind == Kind::kCount &&
+               parse_integer_text(value).value_or(-1) < 0) {
+      problem = "is not a non-negative integer";
+    } else if (spec.kind == Kind::kNum && !parse_number_text(value)) {
+      problem = "is not a number";
+    } else if (spec.kind == Kind::kChoice &&
+               std::find(spec.choices.begin(), spec.choices.end(), value) ==
+                   spec.choices.end()) {
+      problem = "is not one of " + join_choices(spec.choices);
     }
-    if (it->second.kind == Kind::kNum &&
-        !parse_number_text(values_[name]).has_value()) {
-      std::cerr << program_ << ": option '" << name << "': '" << values_[name]
-                << "' is not a number\n";
+    if (!problem.empty()) {
+      std::cerr << program_ << ": option '" << name << "': '" << value
+                << "' " << problem << "\n";
       return false;
     }
   }
@@ -143,24 +175,25 @@ std::string ArgParser::str(const std::string& name) const {
   return it != values_.end() ? it->second : spec.default_value;
 }
 
-double ArgParser::num(const std::string& name) const {
-  const std::string text = str(name);
-  const auto v = parse_number_text(text);
-  if (!v) {
-    throw std::invalid_argument("option " + name + ": '" + text +
-                                "' is not a number");
+std::string ArgParser::typed_value(const std::string& name, Kind kind) const {
+  if (spec_for(name).kind != kind) {
+    throw std::invalid_argument("option " + name +
+                                " is not declared with this accessor's type");
   }
-  return *v;
+  return str(name);
+}
+
+double ArgParser::num(const std::string& name) const {
+  return *parse_number_text(typed_value(name, Kind::kNum));
 }
 
 std::int64_t ArgParser::integer(const std::string& name) const {
-  const std::string text = str(name);
-  const auto v = parse_integer_text(text);
-  if (!v) {
-    throw std::invalid_argument("option " + name + ": '" + text +
-                                "' is not an integer");
-  }
-  return *v;
+  return *parse_integer_text(typed_value(name, Kind::kInt));
+}
+
+std::size_t ArgParser::count(const std::string& name) const {
+  return static_cast<std::size_t>(
+      *parse_integer_text(typed_value(name, Kind::kCount)));
 }
 
 std::string ArgParser::help() const {
@@ -173,23 +206,19 @@ std::string ArgParser::help() const {
       case Kind::kFlag: break;
       case Kind::kString: out << " <value = " << spec.default_value << ">"; break;
       case Kind::kInt: out << " <int = " << spec.default_value << ">"; break;
+      case Kind::kCount:
+        out << " <count = " << spec.default_value << ">";
+        break;
       case Kind::kNum: out << " <num = " << spec.default_value << ">"; break;
+      case Kind::kChoice:
+        out << " <" << join_choices(spec.choices) << " = "
+            << spec.default_value << ">";
+        break;
     }
     out << "\n      " << spec.help << "\n";
   }
   out << "  --help\n      Show this message.\n";
   return out.str();
-}
-
-std::vector<double> parse_double_list(const std::string& text) {
-  std::vector<double> out;
-  std::stringstream ss(text);
-  std::string item;
-  while (std::getline(ss, item, ',')) {
-    if (item.empty()) continue;
-    out.push_back(std::stod(item));
-  }
-  return out;
 }
 
 }  // namespace linkpad::util

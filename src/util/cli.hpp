@@ -1,10 +1,13 @@
 // Small command-line option parser for the figure drivers and examples.
 //
 // Supports `--name value`, `--name=value`, and boolean flags. Unknown
-// arguments are an error (typos in sweep parameters must not be silently
-// ignored in an experiment harness).
+// arguments and bad typed values (a non-number, a negative count, a choice
+// outside its list) are an error that names the option, reported by parse()
+// before the run starts: typos in sweep parameters must not be silently
+// ignored — or crash a run — in an experiment harness.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <map>
 #include <optional>
@@ -30,30 +33,46 @@ class ArgParser {
   /// in the generated --help.
   void add_int(const std::string& name, std::int64_t default_value,
                const std::string& help);
+  /// Declare a typed count option: a non-negative integer (sizes, windows,
+  /// flows, threads). A negative value fails at parse time.
+  void add_count(const std::string& name, std::size_t default_value,
+                 const std::string& help);
   /// Declare a typed real-number option (same parse-time validation).
   void add_num(const std::string& name, double default_value,
                const std::string& help);
+  /// Declare a string option restricted to `choices`; any other value fails
+  /// at parse time. `default_value` must be one of the choices.
+  void add_choice(const std::string& name, const std::string& default_value,
+                  std::vector<std::string> choices, const std::string& help);
 
   /// Parse argv. Returns false (after printing a message) on error or when
   /// --help was requested; callers should then exit.
   bool parse(int argc, const char* const* argv);
 
+  /// Accessors. Each typed accessor reads only options declared with its
+  /// own add_* kind (num ↔ add_num, integer ↔ add_int, count ↔
+  /// add_count) and throws std::invalid_argument on any other option; str
+  /// returns any option's text.
   [[nodiscard]] bool flag(const std::string& name) const;
   [[nodiscard]] std::string str(const std::string& name) const;
   [[nodiscard]] double num(const std::string& name) const;
   [[nodiscard]] std::int64_t integer(const std::string& name) const;
+  [[nodiscard]] std::size_t count(const std::string& name) const;
 
   /// Render the --help text.
   [[nodiscard]] std::string help() const;
 
  private:
-  enum class Kind { kFlag, kString, kInt, kNum };
+  enum class Kind { kFlag, kString, kInt, kCount, kNum, kChoice };
   struct Spec {
     std::string help;
     std::string default_value;
     Kind kind = Kind::kString;
+    std::vector<std::string> choices;  ///< kChoice only
   };
   const Spec& spec_for(const std::string& name) const;
+  /// The value of a typed option, after checking it was declared `kind`.
+  std::string typed_value(const std::string& name, Kind kind) const;
   void declare(const std::string& name, Spec spec);
 
   std::string program_;
@@ -62,8 +81,5 @@ class ArgParser {
   std::map<std::string, std::string> values_;
   std::vector<std::string> order_;
 };
-
-/// Parses a comma-separated list of doubles ("1,2.5,10").
-std::vector<double> parse_double_list(const std::string& text);
 
 }  // namespace linkpad::util

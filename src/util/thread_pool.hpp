@@ -1,22 +1,19 @@
-// Fixed-size thread pool and deterministic parallel dispatch built on it.
+// Fixed-size thread pool and the one deterministic dispatch built on it.
 //
-// The experiment runner shards Monte-Carlo trials across threads. Work items
-// are indexed [0, n); each item derives its own RNG substream from its index
-// (see util/rng.hpp), so the *schedule* is free to be dynamic while results
-// stay independent of thread count. Chunks are handed out via an atomic
-// cursor (self-balancing for uneven item costs, e.g. different sample sizes).
+// Every sweep in the library (figure points, SweepRunner specs,
+// PopulationEngine flow chunks) runs through parallel_for_chunks: work items
+// are indexed [0, n) and handed out in grain-aligned runs via an atomic
+// cursor (self-balancing for uneven item costs). Each item derives its own
+// RNG substream from its index (see util/rng.hpp), so the *schedule* is free
+// to be dynamic while results stay independent of thread count. The body
+// receives (slot, begin, end); `slot` identifies the executing task (stable
+// for that task's whole drain loop), so callers keep per-slot scratch —
+// engines, spec copies, partial reductions — alive across every chunk the
+// task claims. Pair with tree_reduce to fold per-chunk partials
+// deterministically. A one-worker pool runs every chunk inline, in order,
+// on the caller — that IS the serial reference schedule.
 //
-// Two dispatch shapes are offered (the execution-policy seam, in the style
-// of ROOT FitUtil's ExecutionPolicy + redFunction pattern):
-//  * parallel_for        — body(i) per index; the simple per-item form.
-//  * parallel_for_chunks — body(slot, begin, end) per grain-sized run of
-//    indices. `slot` identifies the executing task (stable for that task's
-//    whole drain loop), so callers keep per-slot scratch — engines, spec
-//    copies, partial reductions — alive across every chunk the task claims
-//    instead of rebuilding state per item. Pair with tree_reduce to fold
-//    the per-chunk partials deterministically.
-//
-// Both are nested-dispatch safe: a call issued from inside a task of the
+// Dispatch is nested-dispatch safe: a call issued from inside a task of the
 // SAME pool runs inline on that worker (waiting on the pool from one of its
 // own tasks would deadlock — the waiting task itself counts as in flight).
 #pragma once
@@ -25,6 +22,7 @@
 #include <atomic>
 #include <condition_variable>
 #include <cstddef>
+#include <exception>
 #include <functional>
 #include <mutex>
 #include <queue>
@@ -35,21 +33,6 @@
 #include "util/check.hpp"
 
 namespace linkpad::util {
-
-/// How a sharded workload is dispatched. Results must never depend on the
-/// choice — it selects a schedule, not a computation.
-enum class ExecutionPolicy {
-  /// Inline on the calling thread; no pool, no atomics. The reference
-  /// schedule every parallel policy is bit-compared against.
-  kSerial,
-  /// One logical task per index over a pool (parallel_for). The right shape
-  /// for few, expensive, uneven items (sweep points).
-  kMultithread,
-  /// Chunked dispatch with per-slot scratch reuse and a caller-side
-  /// reduction of per-chunk partials (parallel_for_chunks + tree_reduce).
-  /// The right shape for many cheap items (population flows).
-  kChunked,
-};
 
 /// A simple fixed-size worker pool executing std::function tasks.
 class ThreadPool {
@@ -90,28 +73,17 @@ class ThreadPool {
   bool stopping_ = false;
 };
 
-/// Runs body(i) for i in [0, n) across the global pool (or inline when n is
-/// small / only one hardware thread / the caller is already a pool worker).
-/// Exceptions from the body propagate to the caller (first one wins).
-/// `grain` is the chunk size handed to a worker at a time; pick larger
-/// grains for cheap bodies.
-void parallel_for(std::size_t n, const std::function<void(std::size_t)>& body,
-                  std::size_t grain = 1);
-
-/// Same, over an explicit pool (e.g. a sweep's dedicated pool). Results are
-/// independent of the pool size — each index derives its own state.
-void parallel_for(ThreadPool& pool, std::size_t n,
-                  const std::function<void(std::size_t)>& body,
-                  std::size_t grain = 1);
-
-/// parallel_for over [0, n) collecting results into a vector (slot i is
-/// written only by the task computing item i — no synchronization needed).
-template <typename T, typename Fn>
-std::vector<T> parallel_map(std::size_t n, Fn&& fn, std::size_t grain = 1) {
-  std::vector<T> out(n);
-  parallel_for(
-      n, [&](std::size_t i) { out[i] = fn(i); }, grain);
-  return out;
+/// Runs fn(pool) on the pool a `threads` knob names: 0 = the process-wide
+/// shared pool, otherwise a dedicated pool of that many workers living for
+/// the call. Results never depend on the choice — it sizes the schedule.
+template <typename Fn>
+void with_pool(std::size_t threads, Fn&& fn) {
+  if (threads == 0) {
+    fn(ThreadPool::global());
+    return;
+  }
+  ThreadPool pool(threads);
+  fn(pool);
 }
 
 /// Upper bound on the `slot` values parallel_for_chunks passes for a given

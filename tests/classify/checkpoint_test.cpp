@@ -195,14 +195,18 @@ TEST(BankCheckpoints, OutcomesIdenticalAcrossThreadPools) {
     util::ThreadPool pool(threads);
     constexpr std::size_t kReplicas = 8;
     std::vector<std::vector<std::vector<ConfusionMatrix>>> outcomes(kReplicas);
-    util::parallel_for(pool, kReplicas, [&](std::size_t r) {
-      DetectorBank bank = trained_bank();
-      bank.arm_checkpoints(kPrefixes);
-      feed_test_prefix(bank, kTestPerClass);
-      for (const std::size_t prefix : kPrefixes) {
-        outcomes[r].push_back(bank.evaluate_at(prefix));
-      }
-    });
+    util::parallel_for_chunks(
+        pool, kReplicas, 1,
+        [&](std::size_t, std::size_t begin, std::size_t end) {
+          for (std::size_t r = begin; r < end; ++r) {
+            DetectorBank bank = trained_bank();
+            bank.arm_checkpoints(kPrefixes);
+            feed_test_prefix(bank, kTestPerClass);
+            for (const std::size_t prefix : kPrefixes) {
+              outcomes[r].push_back(bank.evaluate_at(prefix));
+            }
+          }
+        });
     for (std::size_t r = 0; r < kReplicas; ++r) {
       for (std::size_t p = 0; p < kPrefixes.size(); ++p) {
         const auto want = reference.evaluate_at(kPrefixes[p]);

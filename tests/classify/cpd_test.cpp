@@ -312,7 +312,7 @@ core::ExperimentSpec engine_spec() {
 }
 
 TEST(CpdEngine, ExperimentResultCarriesOutcomes) {
-  const auto result = core::run_experiment(engine_spec());
+  const auto result = core::ExperimentEngine().run(engine_spec());
   ASSERT_EQ(result.cpd.size(), 2u);
   EXPECT_EQ(result.cpd[0].kind, CpdKind::kCusum);
   EXPECT_EQ(result.cpd[1].kind, CpdKind::kAdaptiveEwma);
@@ -326,7 +326,7 @@ TEST(CpdEngine, ExperimentResultCarriesOutcomes) {
                       "top mirror");
 
   // Re-running the identical spec is bit-identical (calibration included).
-  const auto again = core::run_experiment(engine_spec());
+  const auto again = core::ExperimentEngine().run(engine_spec());
   for (std::size_t j = 0; j < result.cpd.size(); ++j) {
     expect_same_outcome(again.cpd[j], result.cpd[j], "re-run");
   }
@@ -341,11 +341,8 @@ core::PopulationSpec population_spec() {
 }
 
 TEST(CpdPopulation, AggregatesPresentAndBitIdenticalAcrossThreadCounts) {
-  const auto reference_options = [] {
-    core::SweepOptions options;
-    options.execution = util::ExecutionPolicy::kSerial;
-    return options;
-  }();
+  core::SweepOptions reference_options;
+  reference_options.threads = 1;  // the inline reference schedule
   const auto reference =
       core::PopulationEngine(core::sim_backend(), reference_options)
           .run(population_spec());
@@ -363,10 +360,8 @@ TEST(CpdPopulation, AggregatesPresentAndBitIdenticalAcrossThreadCounts) {
   EXPECT_NE(reference_json.find("\"cpd\""), std::string::npos);
 
   const std::size_t hw = std::max(2u, std::thread::hardware_concurrency());
-  for (const std::size_t threads : {std::size_t{1}, std::size_t{2},
-                                    std::size_t{hw}}) {
+  for (const std::size_t threads : {std::size_t{2}, std::size_t{hw}}) {
     core::SweepOptions options;
-    options.execution = util::ExecutionPolicy::kChunked;
     options.threads = threads;
     const auto run = core::PopulationEngine(core::sim_backend(), options)
                          .run(population_spec());

@@ -19,7 +19,8 @@ ExperimentSpec quick_spec(classify::FeatureKind feature, std::size_t n = 400) {
 }
 
 TEST(Experiment, CitLeaksThroughVarianceFeature) {
-  const auto r = run_experiment(quick_spec(classify::FeatureKind::kSampleVariance));
+  const auto r =
+      ExperimentEngine().run(quick_spec(classify::FeatureKind::kSampleVariance));
   EXPECT_GT(r.detection_rate, 0.75);
   EXPECT_GT(r.r_hat, 1.15);
   ASSERT_TRUE(r.predicted.has_value());
@@ -27,25 +28,28 @@ TEST(Experiment, CitLeaksThroughVarianceFeature) {
 }
 
 TEST(Experiment, CitLeaksThroughEntropyFeature) {
-  const auto r = run_experiment(quick_spec(classify::FeatureKind::kSampleEntropy));
+  const auto r =
+      ExperimentEngine().run(quick_spec(classify::FeatureKind::kSampleEntropy));
   EXPECT_GT(r.detection_rate, 0.72);
 }
 
 TEST(Experiment, MeanFeatureStaysNearChance) {
-  const auto r = run_experiment(quick_spec(classify::FeatureKind::kSampleMean));
+  const auto r =
+      ExperimentEngine().run(quick_spec(classify::FeatureKind::kSampleMean));
   EXPECT_LT(r.detection_rate, 0.65);
 }
 
 TEST(Experiment, VitShutsTheLeakDown) {
   auto spec = quick_spec(classify::FeatureKind::kSampleVariance);
   spec.scenario = lab_zero_cross(make_vit(100e-6));
-  const auto r = run_experiment(spec);
+  const auto r = ExperimentEngine().run(spec);
   EXPECT_LT(r.detection_rate, 0.62);
   EXPECT_LT(r.r_hat, 1.05);
 }
 
 TEST(Experiment, PiatMeansEqualAcrossRates) {
-  const auto r = run_experiment(quick_spec(classify::FeatureKind::kSampleVariance));
+  const auto r =
+      ExperimentEngine().run(quick_spec(classify::FeatureKind::kSampleVariance));
   // Paper Sec 4.2 assumption: same mean at both rates.
   EXPECT_NEAR(r.piat_mean_low, r.piat_mean_high,
               0.002 * r.piat_mean_low);
@@ -55,15 +59,18 @@ TEST(Experiment, PiatMeansEqualAcrossRates) {
 }
 
 TEST(Experiment, ConfidenceIntervalBracketsEstimate) {
-  const auto r = run_experiment(quick_spec(classify::FeatureKind::kSampleVariance));
+  const auto r =
+      ExperimentEngine().run(quick_spec(classify::FeatureKind::kSampleVariance));
   EXPECT_LE(r.ci.lo, r.detection_rate + 1e-12);
   EXPECT_GE(r.ci.hi, r.detection_rate - 1e-12);
   EXPECT_GT(r.ci.hi - r.ci.lo, 0.0);
 }
 
 TEST(Experiment, DeterministicForSameSeed) {
-  const auto a = run_experiment(quick_spec(classify::FeatureKind::kSampleEntropy));
-  const auto b = run_experiment(quick_spec(classify::FeatureKind::kSampleEntropy));
+  const auto a =
+      ExperimentEngine().run(quick_spec(classify::FeatureKind::kSampleEntropy));
+  const auto b =
+      ExperimentEngine().run(quick_spec(classify::FeatureKind::kSampleEntropy));
   EXPECT_DOUBLE_EQ(a.detection_rate, b.detection_rate);
   EXPECT_DOUBLE_EQ(a.r_hat, b.r_hat);
 }
@@ -72,8 +79,8 @@ TEST(Experiment, SeedChangesResultsSlightly) {
   auto spec_a = quick_spec(classify::FeatureKind::kSampleVariance);
   auto spec_b = spec_a;
   spec_b.seed = 2;
-  const auto a = run_experiment(spec_a);
-  const auto b = run_experiment(spec_b);
+  const auto a = ExperimentEngine().run(spec_a);
+  const auto b = ExperimentEngine().run(spec_b);
   EXPECT_NE(a.r_hat, b.r_hat);           // different noise realization
   EXPECT_NEAR(a.detection_rate, b.detection_rate, 0.15);  // same physics
 }
@@ -83,12 +90,12 @@ TEST(Experiment, SweepPreservesOrderAndMatchesSingleRuns) {
       quick_spec(classify::FeatureKind::kSampleMean),
       quick_spec(classify::FeatureKind::kSampleVariance),
   };
-  const auto sweep = run_sweep(specs);
+  const auto sweep = SweepRunner().run(specs).results;
   ASSERT_EQ(sweep.size(), 2u);
   EXPECT_DOUBLE_EQ(sweep[0].detection_rate,
-                   run_experiment(specs[0]).detection_rate);
+                   ExperimentEngine().run(specs[0]).detection_rate);
   EXPECT_DOUBLE_EQ(sweep[1].detection_rate,
-                   run_experiment(specs[1]).detection_rate);
+                   ExperimentEngine().run(specs[1]).detection_rate);
 }
 
 TEST(Experiment, MultiRateScenarioProducesBiggerConfusionMatrix) {
@@ -98,7 +105,7 @@ TEST(Experiment, MultiRateScenarioProducesBiggerConfusionMatrix) {
   spec.plan.adversary.window_size = 400;
   spec.plan.train_windows = 40;
   spec.plan.test_windows = 40;
-  const auto r = run_experiment(spec);
+  const auto r = ExperimentEngine().run(spec);
   EXPECT_EQ(r.confusion.num_classes(), 3u);
   EXPECT_GT(r.detection_rate, 1.0 / 3.0);  // above 3-way chance
   EXPECT_FALSE(r.predicted.has_value() && r.confusion.num_classes() != 2);
@@ -106,16 +113,16 @@ TEST(Experiment, MultiRateScenarioProducesBiggerConfusionMatrix) {
 
 TEST(Experiment, GenerateClassStreamIsDeterministic) {
   const auto spec = quick_spec(classify::FeatureKind::kSampleVariance);
-  EXPECT_EQ(generate_class_stream(spec, 0, 500, 1),
-            generate_class_stream(spec, 0, 500, 1));
-  EXPECT_NE(generate_class_stream(spec, 0, 500, 1),
-            generate_class_stream(spec, 1, 500, 1));
+  EXPECT_EQ(ExperimentEngine().class_stream(spec, 0, 500, 1),
+            ExperimentEngine().class_stream(spec, 0, 500, 1));
+  EXPECT_NE(ExperimentEngine().class_stream(spec, 0, 500, 1),
+            ExperimentEngine().class_stream(spec, 1, 500, 1));
 }
 
 TEST(Experiment, InvalidSpecRejected) {
   auto spec = quick_spec(classify::FeatureKind::kSampleVariance);
   spec.plan.train_windows = 1;
-  EXPECT_THROW(run_experiment(spec), linkpad::ContractViolation);
+  EXPECT_THROW(ExperimentEngine().run(spec), linkpad::ContractViolation);
 }
 
 }  // namespace

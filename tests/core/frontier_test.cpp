@@ -139,7 +139,7 @@ TEST(FrontierOverhead, EngineAccountingTracksAnalyticRatesForCit) {
   spec.plan.train_windows = 6;
   spec.plan.test_windows = 6;
   spec.seed = 5;
-  const auto result = run_experiment(spec);
+  const auto result = ExperimentEngine().run(spec);
 
   ASSERT_EQ(result.overhead_per_class.size(), 2u);
   const double analytic = padded_wire_rate_bps(spec.scenario);
@@ -167,7 +167,7 @@ TEST(FrontierOverhead, MeasuredBudgetedOverheadMatchesStaticModel) {
   spec.plan.train_windows = 6;
   spec.plan.test_windows = 6;
   spec.seed = 9;
-  const auto result = run_experiment(spec);
+  const auto result = ExperimentEngine().run(spec);
 
   ASSERT_EQ(result.overhead_per_class.size(), 2u);
   for (std::size_t c = 0; c < 2; ++c) {

@@ -408,7 +408,7 @@ TEST(Population, FlowSpecReproducesPopulationSlotForReactivePolicy) {
 
   const auto population = PopulationEngine().run(spec);
   for (std::size_t f = 0; f < spec.flows; ++f) {
-    const auto standalone = run_experiment(spec.flow_spec(f));
+    const auto standalone = ExperimentEngine().run(spec.flow_spec(f));
     EXPECT_EQ(standalone.detection_rate,
               population.per_flow[f].detection_rate);
     ASSERT_EQ(standalone.overhead_per_class.size(),
@@ -490,10 +490,11 @@ PopulationSpec wide_spec(std::size_t flows) {
 
 TEST(PopulationReduction, TreeMatchesSerialReplayAcrossThreadAndFlowCounts) {
   // The chunked dispatch + fixed-shape tree reduction must reproduce the
-  // inline serial schedule bit for bit — per-flow results, every aggregate
-  // point (order-sensitive P² sketches included), and the overhead fields —
-  // at thread counts {1, 2, hw} for flow counts spanning one chunk, a
-  // partial chunk, a ragged multi-chunk run, and a wide run.
+  // one-thread schedule (every chunk inline, in order) bit for bit —
+  // per-flow results, every aggregate point (order-sensitive P² sketches
+  // included), and the overhead fields — at thread counts {2, hw} for flow
+  // counts spanning one chunk, a partial chunk, a ragged multi-chunk run,
+  // and a wide run.
   const std::size_t hardware =
       std::max<std::size_t>(std::thread::hardware_concurrency(), 2);
   for (const std::size_t flows :
@@ -501,12 +502,11 @@ TEST(PopulationReduction, TreeMatchesSerialReplayAcrossThreadAndFlowCounts) {
     const auto spec = flows >= 1000 ? wide_spec(flows) : small_spec(flows);
 
     SweepOptions serial;
-    serial.execution = util::ExecutionPolicy::kSerial;
+    serial.threads = 1;
     const auto reference = PopulationEngine(sim_backend(), serial).run(spec);
     ASSERT_EQ(reference.flows(), flows);
 
-    for (const std::size_t threads : {std::size_t{1}, std::size_t{2},
-                                      hardware}) {
+    for (const std::size_t threads : {std::size_t{2}, hardware}) {
       SweepOptions options;
       options.threads = threads;
       const auto run = PopulationEngine(sim_backend(), options).run(spec);
@@ -522,7 +522,7 @@ TEST(PopulationReduction, GrainNeverPerturbsResults) {
   // with it the reduction tree's leaf count — must not matter.
   const auto spec = small_spec(33);
   SweepOptions reference_options;
-  reference_options.execution = util::ExecutionPolicy::kSerial;
+  reference_options.threads = 1;
   const auto reference =
       PopulationEngine(sim_backend(), reference_options).run(spec);
   for (const std::size_t grain :

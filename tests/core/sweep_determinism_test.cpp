@@ -11,6 +11,7 @@
 #include <algorithm>
 #include <cstring>
 #include <mutex>
+#include <string>
 #include <vector>
 
 #include "core/piat_source.hpp"
@@ -108,40 +109,43 @@ TEST(SweepDeterminism, SharedPoolMatchesDedicatedPools) {
   }
 }
 
-TEST(SweepDeterminism, ExecutionPoliciesAgreeBitwise) {
-  // The execution-policy seam only changes HOW points are dispatched —
-  // inline loop, task-per-point, or grain-aligned chunks with per-slot
-  // engines — never WHAT they compute.
+TEST(SweepDeterminism, ThreadsAndGrainsAgreeBitwise) {
+  // Every sweep runs one dispatch path; threads and grain only change HOW
+  // points are claimed — one worker draining chunks inline in order, or
+  // four workers racing for grain-aligned chunks with per-slot engines —
+  // never WHAT they compute. threads = 1, grain = 1 is the reference.
   const auto specs = eight_point_grid();
 
-  SweepOptions serial;
-  serial.execution = util::ExecutionPolicy::kSerial;
-  SweepOptions task_per_point;
-  task_per_point.execution = util::ExecutionPolicy::kMultithread;
-  task_per_point.threads = 4;
-  SweepOptions chunked;
-  chunked.execution = util::ExecutionPolicy::kChunked;
-  chunked.threads = 4;
-  chunked.grain = 3;  // ragged: 8 points -> chunks of 3, 3, 2
-
-  const auto reference = SweepRunner(sim_backend(), serial).run(specs);
-  const auto tasks = SweepRunner(sim_backend(), task_per_point).run(specs);
-  const auto chunks = SweepRunner(sim_backend(), chunked).run(specs);
-
+  SweepOptions reference_options;
+  reference_options.threads = 1;
+  const auto reference =
+      SweepRunner(sim_backend(), reference_options).run(specs);
   ASSERT_TRUE(reference.all_completed());
-  ASSERT_TRUE(tasks.all_completed());
-  ASSERT_TRUE(chunks.all_completed());
-  for (std::size_t i = 0; i < specs.size(); ++i) {
-    expect_identical(reference.results[i], tasks.results[i]);
-    expect_identical(reference.results[i], chunks.results[i]);
+  for (const std::size_t threads : {std::size_t{1}, std::size_t{4}}) {
+    // Grain 3 is ragged: 8 points -> chunks of 3, 3, 2.
+    for (const std::size_t grain : {std::size_t{1}, std::size_t{3}}) {
+      SweepOptions options;
+      options.threads = threads;
+      options.grain = grain;
+      const auto report = SweepRunner(sim_backend(), options).run(specs);
+      ASSERT_TRUE(report.all_completed());
+      for (std::size_t i = 0; i < specs.size(); ++i) {
+        SCOPED_TRACE("threads=" + std::to_string(threads) +
+                     " grain=" + std::to_string(grain) +
+                     " point=" + std::to_string(i));
+        expect_identical(reference.results[i], report.results[i]);
+      }
+    }
   }
 }
 
 TEST(SweepDeterminism, LegacyRunSweepMatchesSingleRuns) {
+  // The swept points against independent single-engine runs: the runner's
+  // pool and per-slot engines add nothing to what a point computes.
   const auto specs = eight_point_grid();
-  const auto swept = run_sweep(specs);
+  const auto swept = SweepRunner().run(specs).results;
   for (std::size_t i = 0; i < specs.size(); ++i) {
-    expect_identical(swept[i], run_experiment(specs[i]));
+    expect_identical(swept[i], ExperimentEngine().run(specs[i]));
   }
 }
 

@@ -2,47 +2,10 @@
 
 #include <gtest/gtest.h>
 
-#include <vector>
-
-#include "stats/descriptive.hpp"
 #include "util/check.hpp"
 
 namespace linkpad::stats {
 namespace {
-
-TEST(BootstrapCi, MeanIntervalBracketsEstimate) {
-  std::vector<double> xs;
-  util::Xoshiro256pp rng(1);
-  for (int i = 0; i < 500; ++i) xs.push_back(rng.uniform(0.0, 10.0));
-
-  util::Xoshiro256pp boot_rng(2);
-  const auto r = bootstrap_ci(
-      xs, [](std::span<const double> s) { return mean(s); }, 500, 0.95,
-      boot_rng);
-  EXPECT_LE(r.lo, r.estimate);
-  EXPECT_GE(r.hi, r.estimate);
-  EXPECT_NEAR(r.estimate, 5.0, 0.5);
-  EXPECT_LT(r.hi - r.lo, 1.5);
-}
-
-TEST(BootstrapCi, DegenerateDataCollapsesInterval) {
-  const std::vector<double> xs(100, 3.0);
-  util::Xoshiro256pp rng(3);
-  const auto r = bootstrap_ci(
-      xs, [](std::span<const double> s) { return mean(s); }, 200, 0.9, rng);
-  EXPECT_DOUBLE_EQ(r.lo, 3.0);
-  EXPECT_DOUBLE_EQ(r.hi, 3.0);
-}
-
-TEST(BootstrapCi, PreconditionsFire) {
-  util::Xoshiro256pp rng(4);
-  const std::vector<double> empty;
-  auto stat = [](std::span<const double> s) { return mean(s); };
-  EXPECT_THROW(bootstrap_ci(empty, stat, 100, 0.95, rng), ContractViolation);
-  const std::vector<double> xs = {1.0, 2.0};
-  EXPECT_THROW(bootstrap_ci(xs, stat, 1, 0.95, rng), ContractViolation);
-  EXPECT_THROW(bootstrap_ci(xs, stat, 100, 1.5, rng), ContractViolation);
-}
 
 TEST(ProportionCi, WilsonKnownCase) {
   // 80/100 at 95%: Wilson interval ~ [0.711, 0.867]

@@ -91,16 +91,6 @@ TEST(GaussianKde, LogPdfOrdersByDistanceOutsideSupport) {
   EXPECT_GT(kde.log_pdf(50.0), kde.log_pdf(100.0));
 }
 
-TEST(GaussianKde, GridEvaluationMatchesPointwise) {
-  const auto xs = normal_sample(0.0, 1.0, 500, 15);
-  GaussianKde kde(xs);
-  const auto grid = kde.evaluate_grid(-2.0, 2.0, 9);
-  ASSERT_EQ(grid.size(), 9u);
-  EXPECT_DOUBLE_EQ(grid.front().first, -2.0);
-  EXPECT_DOUBLE_EQ(grid.back().first, 2.0);
-  for (const auto& [x, y] : grid) EXPECT_DOUBLE_EQ(y, kde.pdf(x));
-}
-
 TEST(GaussianKde, EmptySampleRejected) {
   const std::vector<double> empty;
   EXPECT_THROW(GaussianKde{empty}, ContractViolation);
@@ -123,37 +113,6 @@ TEST_P(KdeBandwidthSweep, MassStaysNormalizedAcrossBandwidths) {
 
 INSTANTIATE_TEST_SUITE_P(Bandwidths, KdeBandwidthSweep,
                          ::testing::Values(0.05, 0.2, 0.5, 1.0));
-
-
-TEST(KdeGrid, SlidingSweepMatchesPdfBitwise) {
-  // evaluate_grid's single sliding-window sweep must reproduce pdf() at
-  // every grid point exactly — including grids that extend far outside the
-  // data so the kernel window is empty at the edges.
-  const auto data = normal_sample(0.0, 1.0, 4000, 31);
-  for (const auto rule : {BandwidthRule::kSilverman, BandwidthRule::kScott}) {
-    const GaussianKde kde(data, rule);
-    const double lo = -8.0;
-    const double hi = 8.0;
-    const auto grid = kde.evaluate_grid(lo, hi, 913);
-    ASSERT_EQ(grid.size(), 913u);
-    for (const auto& [x, y] : grid) {
-      EXPECT_EQ(y, kde.pdf(x)) << "x = " << x;
-    }
-  }
-}
-
-TEST(KdeGrid, TinyGridAndClusteredDataMatchPdf) {
-  // Duplicate-heavy data stresses the window-edge advancement (many equal
-  // values sit exactly on lower/upper bound boundaries).
-  std::vector<double> data;
-  for (int i = 0; i < 200; ++i) data.push_back(1.0);
-  for (int i = 0; i < 200; ++i) data.push_back(2.0);
-  const GaussianKde kde(data);
-  const auto grid = kde.evaluate_grid(0.5, 2.5, 2);
-  for (const auto& [x, y] : grid) {
-    EXPECT_EQ(y, kde.pdf(x)) << "x = " << x;
-  }
-}
 
 }  // namespace
 }  // namespace linkpad::stats

@@ -11,8 +11,8 @@ namespace {
 ArgParser make_parser() {
   ArgParser p("prog", "test parser");
   p.add_flag("--quick", "fast mode");
-  p.add_option("--sigma", "1.5", "a number");
-  p.add_option("--count", "42", "an integer");
+  p.add_num("--sigma", 1.5, "a number");
+  p.add_int("--count", 42, "an integer");
   p.add_option("--name", "default", "a string");
   return p;
 }
@@ -71,15 +71,17 @@ TEST(ArgParser, HelpReturnsFalse) {
 }
 
 TEST(ArgParser, NonNumericValueThrowsOnAccess) {
+  // A free-form string option is never read as a number, whatever it holds.
   auto p = make_parser();
-  ASSERT_TRUE(parse(p, {"--sigma", "abc"}));
-  EXPECT_THROW(p.num("--sigma"), std::invalid_argument);
+  ASSERT_TRUE(parse(p, {"--name", "abc"}));
+  EXPECT_THROW((void)p.num("--name"), std::invalid_argument);
+  EXPECT_THROW((void)p.integer("--name"), std::invalid_argument);
 }
 
 TEST(ArgParser, UndeclaredOptionAccessThrows) {
   auto p = make_parser();
   ASSERT_TRUE(parse(p, {}));
-  EXPECT_THROW(p.str("--nope"), std::invalid_argument);
+  EXPECT_THROW((void)p.str("--nope"), std::invalid_argument);
 }
 
 TEST(ArgParser, HelpTextMentionsAllOptions) {
@@ -134,17 +136,53 @@ TEST(ArgParserTyped, HelpShowsTypedDefaults) {
   EXPECT_NE(text.find("<num = 1.5>"), std::string::npos);
 }
 
-TEST(ParseDoubleList, SplitsOnCommas) {
-  const auto xs = parse_double_list("1,2.5,10");
-  ASSERT_EQ(xs.size(), 3u);
-  EXPECT_DOUBLE_EQ(xs[0], 1.0);
-  EXPECT_DOUBLE_EQ(xs[1], 2.5);
-  EXPECT_DOUBLE_EQ(xs[2], 10.0);
+TEST(ArgParserTyped, AccessorRejectsOptionOfAnotherKind) {
+  // Each typed accessor reads only its own kind: there is no string-parsing
+  // fallback, so reading an int as a count (or a count as a number) is a
+  // programming error even when the text would parse.
+  ArgParser p("prog", "typed test parser");
+  p.add_int("--offset", -3, "an integer");
+  p.add_count("--windows", 8, "a count");
+  p.add_num("--sigma", 2.0, "a number");
+  ASSERT_TRUE(parse(p, {}));
+  EXPECT_EQ(p.count("--windows"), 8u);
+  EXPECT_THROW((void)p.count("--offset"), std::invalid_argument);
+  EXPECT_THROW((void)p.num("--windows"), std::invalid_argument);
+  EXPECT_THROW((void)p.integer("--sigma"), std::invalid_argument);
+  EXPECT_THROW((void)p.count("--nope"), std::invalid_argument);
 }
 
-TEST(ParseDoubleList, IgnoresEmptySegments) {
-  const auto xs = parse_double_list("1,,2,");
-  ASSERT_EQ(xs.size(), 2u);
+TEST(ArgParserTyped, NegativeCountFailsAtParseTime) {
+  auto make = [] {
+    ArgParser p("prog", "count parser");
+    p.add_count("--flows", 100, "a count");
+    return p;
+  };
+  auto p = make();
+  EXPECT_FALSE(parse(p, {"--flows", "-3"}));
+  auto q = make();
+  EXPECT_FALSE(parse(q, {"--flows=2.5"}));
+  auto r = make();
+  ASSERT_TRUE(parse(r, {"--flows", "0"}));
+  EXPECT_EQ(r.count("--flows"), 0u);
+  EXPECT_NE(make().help().find("<count = 100>"), std::string::npos);
+}
+
+TEST(ArgParserTyped, ChoiceOutsideItsListFailsAtParseTime) {
+  auto make = [] {
+    ArgParser p("prog", "choice parser");
+    p.add_choice("--backend", "sim", {"sim", "live"}, "a choice");
+    return p;
+  };
+  auto p = make();
+  ASSERT_TRUE(parse(p, {}));
+  EXPECT_EQ(p.str("--backend"), "sim");
+  auto q = make();
+  ASSERT_TRUE(parse(q, {"--backend=live"}));
+  EXPECT_EQ(q.str("--backend"), "live");
+  auto r = make();
+  EXPECT_FALSE(parse(r, {"--backend", "udp"}));
+  EXPECT_NE(make().help().find("<sim|live = sim>"), std::string::npos);
 }
 
 }  // namespace

@@ -28,65 +28,6 @@ TEST(ThreadPool, WaitIdleOnEmptyPoolReturns) {
   SUCCEED();
 }
 
-TEST(ParallelFor, VisitsEveryIndexExactlyOnce) {
-  const std::size_t n = 10000;
-  std::vector<std::atomic<int>> hits(n);
-  parallel_for(n, [&](std::size_t i) { hits[i].fetch_add(1); });
-  for (std::size_t i = 0; i < n; ++i) EXPECT_EQ(hits[i].load(), 1) << i;
-}
-
-TEST(ParallelFor, HandlesZeroItems) {
-  parallel_for(0, [](std::size_t) { FAIL() << "body must not run"; });
-}
-
-TEST(ParallelFor, GrainLargerThanNRunsInline) {
-  std::vector<int> hits(10, 0);
-  parallel_for(10, [&](std::size_t i) { hits[i]++; }, /*grain=*/100);
-  EXPECT_EQ(std::accumulate(hits.begin(), hits.end(), 0), 10);
-}
-
-TEST(ParallelFor, PropagatesExceptions) {
-  EXPECT_THROW(
-      parallel_for(100,
-                   [](std::size_t i) {
-                     if (i == 57) throw std::runtime_error("boom");
-                   }),
-      std::runtime_error);
-}
-
-TEST(ParallelMap, CollectsResultsInOrder) {
-  auto out = parallel_map<int>(1000, [](std::size_t i) {
-    return static_cast<int>(i * i);
-  });
-  ASSERT_EQ(out.size(), 1000u);
-  for (std::size_t i = 0; i < out.size(); ++i) {
-    EXPECT_EQ(out[i], static_cast<int>(i * i));
-  }
-}
-
-TEST(ParallelFor, ResultIndependentOfGrain) {
-  const std::size_t n = 5000;
-  std::vector<double> a(n), b(n);
-  parallel_for(n, [&](std::size_t i) { a[i] = static_cast<double>(i) * 0.5; }, 1);
-  parallel_for(n, [&](std::size_t i) { b[i] = static_cast<double>(i) * 0.5; }, 128);
-  EXPECT_EQ(a, b);
-}
-
-TEST(ParallelFor, NestedDispatchRunsInlineInsteadOfDeadlocking) {
-  // A parallel_for issued from inside a task of the SAME pool must run
-  // inline on that worker — waiting on the pool would deadlock because the
-  // outer task itself still counts as in flight.
-  ThreadPool pool(2);
-  std::vector<std::atomic<int>> hits(64);
-  parallel_for(pool, 4, [&](std::size_t outer) {
-    EXPECT_TRUE(pool.on_worker_thread());
-    parallel_for(pool, 16, [&](std::size_t inner) {
-      hits[outer * 16 + inner].fetch_add(1);
-    });
-  });
-  for (std::size_t i = 0; i < hits.size(); ++i) EXPECT_EQ(hits[i].load(), 1);
-}
-
 // ------------------------------------------------------ chunked dispatch
 
 TEST(ParallelForChunks, CoversEveryIndexOnceAtAnyGrain) {
