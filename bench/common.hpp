@@ -22,7 +22,8 @@ inline util::ArgParser make_figure_parser(const std::string& name,
                                           const std::string& summary) {
   util::ArgParser parser(name, summary);
   parser.add_num("--effort", 1.0,
-                 "Monte-Carlo effort multiplier (0.1 = quick smoke run)");
+                 "Monte-Carlo effort multiplier (0.1 = quick smoke run)",
+                 {.lo = 0.0, .open = true});
   parser.add_int("--seed", 20030324, "root RNG seed");
   parser.add_choice("--backend", "sim", {"sim", "live"},
                     "PIAT backend: 'sim' (testbed) or 'live' (loopback UDP)");

@@ -6,7 +6,7 @@
 // DetectorBank inner loop), the streaming change-point update loop
 // (two-sided CUSUM / adaptive-EWMA per-PIAT cost), KDE evaluation, the
 // M/G/1 stationary-wait
-// sampler, normal sampling (polar vs Ziggurat) and the prefix-replay
+// sampler, polar normal sampling and the prefix-replay
 // curve pipeline (Fig 4(b)'s detection-vs-n workload, one engine run per
 // point vs one collapsed run — outcomes asserted bit-identical), plus the
 // population axis: thread scaling, process sharding, and the sampled
@@ -271,7 +271,7 @@ struct DerivedMetrics {
   double event_core_speedup_cit = 0.0;
   /// PIATs/sec through all five features at once (DetectorBank inner loop).
   double bank_five_feature_piats_per_sec = 0.0;
-  /// Whole-window add_span fan-out vs per-sample add, five-feature bank.
+  /// Whole-window span fan-out vs one-element spans, five-feature bank.
   double bank_span_speedup = 0.0;
   /// Two-sided CUSUM detector updates/sec (per-PIAT sequential cost of the
   /// streaming change-point attack, classify/cpd.hpp).
@@ -282,8 +282,6 @@ struct DerivedMetrics {
   double curve_points_per_sec = 0.0;
   /// Prefix-replay (1 sim) vs per-point engine runs (k sims), same curve.
   double curve_speedup_fig4b = 0.0;
-  /// Ziggurat vs Marsaglia-polar standard-normal throughput.
-  double ziggurat_normal_speedup = 0.0;
   /// Population throughput: flows/sec through PopulationEngine at M = 1000
   /// on the hardware thread count.
   double population_flows_per_sec = 0.0;
@@ -333,8 +331,6 @@ void print_table(const std::vector<BenchResult>& results,
   std::printf("Fig 4(b) curve throughput: %.3e points/sec "
               "(prefix replay vs per-point sims: %.2fx)\n",
               derived.curve_points_per_sec, derived.curve_speedup_fig4b);
-  std::printf("ziggurat normal sampling speedup: %.2fx\n",
-              derived.ziggurat_normal_speedup);
   std::printf("population throughput at M = 1000: %.3e flows/sec "
               "(thread scaling vs 1: x2 %.2fx, x4 %.2fx, hw %.2fx)\n",
               derived.population_flows_per_sec,
@@ -377,7 +373,6 @@ void print_json(const std::vector<BenchResult>& results,
               "    \"streaming_vs_batch_variance\": %.4f,\n"
               "    \"curve_points_per_sec\": %.6e,\n"
               "    \"curve_speedup_fig4b\": %.4f,\n"
-              "    \"ziggurat_normal_speedup\": %.4f,\n"
               "    \"population_flows_per_sec\": %.6e,\n"
               "    \"population_thread_speedup\": %.4f,\n"
               "    \"population_thread_speedup_2\": %.4f,\n"
@@ -393,7 +388,6 @@ void print_json(const std::vector<BenchResult>& results,
               derived.cpd_updates_per_sec,
               derived.streaming_vs_batch_variance,
               derived.curve_points_per_sec, derived.curve_speedup_fig4b,
-              derived.ziggurat_normal_speedup,
               derived.population_flows_per_sec,
               derived.population_thread_speedup,
               derived.population_thread_speedup_2,
@@ -588,8 +582,9 @@ int main(int argc, char** argv) {
       auto opts = acc_opts;
       opts.quantile_mode = mode;
       auto acc = classify::make_window_accumulator(kind, opts);
+      // One virtual call per sample: each PIAT is its own one-element span.
       results.push_back(run_bench(name, "piats", min_time, [&] {
-        for (double x : window) acc->add(x);
+        for (const double& x : window) acc->add({&x, 1});
         const double v = acc->value();
         acc->reset();
         return static_cast<std::uint64_t>(window.size() + (v < 0.0 ? 1 : 0));
@@ -618,8 +613,8 @@ int main(int argc, char** argv) {
       }
       results.push_back(
           run_bench("bank/five_feature_pass_4k", "piats", min_time, [&] {
-            for (double x : window) {
-              for (auto& acc : bank) acc->add(x);
+            for (const double& x : window) {
+              for (auto& acc : bank) acc->add({&x, 1});
             }
             double v = 0.0;
             for (auto& acc : bank) {
@@ -638,7 +633,7 @@ int main(int argc, char** argv) {
       results.push_back(
           run_bench("bank/five_feature_span_4k", "piats", min_time, [&] {
             const std::span<const double> xs(window);
-            for (auto& acc : bank) acc->add_span(xs);
+            for (auto& acc : bank) acc->add(xs);
             double v = 0.0;
             for (auto& acc : bank) {
               v += acc->value();
@@ -688,8 +683,8 @@ int main(int argc, char** argv) {
     }
   }
 
-  // Standard-normal sampling: Marsaglia polar (the reference every figure
-  // uses) vs the opt-in 256-layer Ziggurat.
+  // Standard-normal sampling: Marsaglia polar, the sampler every figure
+  // uses.
   {
     util::Rng rng(7);
     constexpr int kDraws = 200000;
@@ -698,24 +693,6 @@ int main(int argc, char** argv) {
       for (int i = 0; i < kDraws; ++i) acc += stats::sample_standard_normal(rng);
       return static_cast<std::uint64_t>(kDraws + (acc > 1e18 ? 1 : 0));
     }));
-    const double polar_ips = results.back().items_per_sec;
-    results.push_back(
-        run_bench("rng/normal_ziggurat", "samples", min_time, [&] {
-          double acc = 0.0;
-          for (int i = 0; i < kDraws; ++i) {
-            acc += stats::sample_standard_normal_ziggurat(rng);
-          }
-          return static_cast<std::uint64_t>(kDraws + (acc > 1e18 ? 1 : 0));
-        }));
-    derived.ziggurat_normal_speedup = results.back().items_per_sec / polar_ips;
-    results.push_back(
-        run_bench("rng/exponential_ziggurat", "samples", min_time, [&] {
-          double acc = 0.0;
-          for (int i = 0; i < kDraws; ++i) {
-            acc += stats::sample_standard_exponential_ziggurat(rng);
-          }
-          return static_cast<std::uint64_t>(kDraws + (acc < 0.0 ? 1 : 0));
-        }));
   }
 
   // Curve throughput: the Fig 4(b) detection-vs-n workload (10-point axis

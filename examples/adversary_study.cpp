@@ -13,6 +13,10 @@
 #include <algorithm>
 #include <cstdio>
 #include <iostream>
+#include <string>
+#include <string_view>
+#include <utility>
+#include <vector>
 
 #include "analysis/theory.hpp"
 #include "classify/detector_bank.hpp"
@@ -26,13 +30,21 @@ using namespace linkpad;
 
 namespace {
 
+/// The --feature choices and the feature each names, in detector order.
+constexpr std::pair<const char*, classify::FeatureKind> kFeatures[] = {
+    {"mean", classify::FeatureKind::kSampleMean},
+    {"variance", classify::FeatureKind::kSampleVariance},
+    {"entropy", classify::FeatureKind::kSampleEntropy},
+    {"mad", classify::FeatureKind::kMedianAbsDeviation},
+    {"iqr", classify::FeatureKind::kInterquartileRange},
+};
+
+/// The feature `name` names; parse() has already checked it is a choice.
 classify::FeatureKind parse_feature(const std::string& name) {
-  if (name == "mean") return classify::FeatureKind::kSampleMean;
-  if (name == "variance") return classify::FeatureKind::kSampleVariance;
-  if (name == "entropy") return classify::FeatureKind::kSampleEntropy;
-  if (name == "mad") return classify::FeatureKind::kMedianAbsDeviation;
-  if (name == "iqr") return classify::FeatureKind::kInterquartileRange;
-  throw std::invalid_argument("unknown feature: " + name);
+  const auto key = [](const auto& entry) {
+    return std::string_view(entry.first);
+  };
+  return std::ranges::find(kFeatures, std::string_view(name), key)->second;
 }
 
 }  // namespace
@@ -40,11 +52,12 @@ classify::FeatureKind parse_feature(const std::string& name) {
 int main(int argc, char** argv) {
   util::ArgParser args("adversary_study",
                        "step-by-step Bayes traffic-analysis attack");
-  args.add_choice("--feature", "variance",
-                  {"mean", "variance", "entropy", "mad", "iqr"},
+  std::vector<std::string> feature_names;
+  for (const auto& [name, kind] : kFeatures) feature_names.emplace_back(name);
+  args.add_choice("--feature", "variance", std::move(feature_names),
                   "density plot focus");
-  args.add_count("--n", 1000, "PIAT window size");
-  args.add_count("--windows", 150, "training/test windows per class");
+  args.add_count("--n", 1000, "PIAT window size", 2);
+  args.add_count("--windows", 150, "training/test windows per class", 2);
   args.add_int("--seed", 42, "root RNG seed");
   if (!args.parse(argc, argv)) return 1;
 
@@ -60,12 +73,7 @@ int main(int argc, char** argv) {
 
   // Focus feature first, every other statistic rides the same pass.
   std::vector<classify::FeatureKind> features = {focus};
-  for (const auto kind :
-       {classify::FeatureKind::kSampleMean,
-        classify::FeatureKind::kSampleVariance,
-        classify::FeatureKind::kSampleEntropy,
-        classify::FeatureKind::kMedianAbsDeviation,
-        classify::FeatureKind::kInterquartileRange}) {
+  for (const auto& [name, kind] : kFeatures) {
     if (kind != focus) features.push_back(kind);
   }
 

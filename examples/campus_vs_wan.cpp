@@ -62,8 +62,8 @@ std::vector<double> detection_over_day(
 int main(int argc, char** argv) {
   util::ArgParser args("campus_vs_wan",
                        "CIT exposure across a day: campus vs WAN tap");
-  args.add_count("--slots", 8, "time slots across the 24h day");
-  args.add_count("--windows", 100, "train/test windows per class");
+  args.add_count("--slots", 8, "time slots across the 24h day", 1);
+  args.add_count("--windows", 100, "train/test windows per class", 2);
   args.add_int("--seed", 23, "root RNG seed");
   if (!args.parse(argc, argv)) return 1;
 

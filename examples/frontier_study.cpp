@@ -55,8 +55,8 @@ StudyPolicies study_policies() {
 int main(int argc, char** argv) {
   util::ArgParser args("frontier_study",
                        "overhead vs detectability across defense policies");
-  args.add_count("--n", 400, "adversary window size (PIATs per window)");
-  args.add_count("--windows", 40, "train/test windows per class");
+  args.add_count("--n", 400, "adversary window size (PIATs per window)", 2);
+  args.add_count("--windows", 40, "train/test windows per class", 2);
   args.add_int("--seed", 20030324, "root RNG seed");
   if (!args.parse(argc, argv)) return 1;
 

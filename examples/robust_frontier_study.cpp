@@ -12,6 +12,7 @@
 //                              [--edf] [--json]
 #include <cstdio>
 #include <iostream>
+#include <stdexcept>
 #include <vector>
 
 #include "core/robust_frontier.hpp"
@@ -25,8 +26,8 @@ int main(int argc, char** argv) {
   util::ArgParser args("robust_frontier_study",
                        "re-score the defense frontier against a per-policy "
                        "best-response adversary");
-  args.add_count("--n", 200, "fixed-bank window size (PIATs per window)");
-  args.add_count("--windows", 12, "train/test windows per class");
+  args.add_count("--n", 200, "fixed-bank window size (PIATs per window)", 2);
+  args.add_count("--windows", 12, "train/test windows per class", 2);
   args.add_int("--seed", 20030324, "root RNG seed");
   args.add_flag("--edf", "add EDF (KS/CvM) candidates to the search space");
   args.add_flag("--json", "also print the canonical hex-double JSON record");
@@ -56,8 +57,16 @@ int main(int argc, char** argv) {
     std::fprintf(stderr, "\r  %zu/%zu points...", done, total);
     if (done == total) std::fprintf(stderr, "\n");
   };
-  const auto robust =
-      core::run_robust_frontier(spec, core::sim_backend(), options);
+  core::RobustFrontierResult robust;
+  try {
+    robust = core::run_robust_frontier(spec, core::sim_backend(), options);
+  } catch (const std::invalid_argument& e) {
+    // On the simulated backend the one argument error is a candidate window
+    // that does not fit the --windows x --n scoring capture.
+    std::fprintf(stderr, "robust_frontier_study: option '--windows': %s\n",
+                 e.what());
+    return 1;
+  }
 
   std::printf(
       "robust defense frontier, lab zero-cross, fixed bank n = %zu, "

@@ -17,11 +17,17 @@
 
 using namespace linkpad;
 
+namespace {
+/// The offline adversary's window: it trains on the front half of each
+/// trace, which must hold at least two windows.
+constexpr std::size_t kWindow = 1000;
+}  // namespace
+
 int main(int argc, char** argv) {
   util::ArgParser args("trace_workflow",
                        "capture PIAT traces to disk, analyze offline");
   args.add_option("--dir", "/tmp/linkpad_traces", "output directory");
-  args.add_count("--piats", 60000, "PIATs captured per class");
+  args.add_count("--piats", 60000, "PIATs captured per class", 4 * kWindow);
   args.add_int("--seed", 31, "root RNG seed");
   if (!args.parse(argc, argv)) return 1;
 
@@ -67,7 +73,7 @@ int main(int argc, char** argv) {
 
   classify::AdversaryConfig cfg;
   cfg.feature = classify::FeatureKind::kSampleEntropy;
-  cfg.window_size = 1000;
+  cfg.window_size = kWindow;
   classify::Adversary adversary(cfg);
   adversary.train(train);
   std::printf("\n[analyze] entropy adversary at n = %zu: detection rate %.4f\n",

@@ -21,8 +21,10 @@ using namespace linkpad;
 int main(int argc, char** argv) {
   util::ArgParser args("vit_design",
                        "configure VIT padding for a target detection bound");
-  args.add_num("--vmax", 0.55, "tolerated detection rate (0.5..1)");
-  args.add_num("--nmax", 5000, "adversary's largest credible sample");
+  args.add_num("--vmax", 0.55, "tolerated detection rate (0.5..1)",
+               {.lo = 0.5, .hi = 1.0, .open = true});
+  args.add_num("--nmax", 5000, "adversary's largest credible sample",
+               {.lo = 3.0});
   args.add_int("--seed", 11, "root RNG seed");
   if (!args.parse(argc, argv)) return 1;
 

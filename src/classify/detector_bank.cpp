@@ -199,7 +199,7 @@ void Detector::feed_chunk(std::size_t class_index,
     if (window.size() == n) complete_window(class_index, testing);
   } else {
     auto& acc = *accumulators_[class_index];
-    acc.add_span(chunk);
+    acc.add(chunk);
     if (acc.count() == n) complete_window(class_index, testing);
   }
 }

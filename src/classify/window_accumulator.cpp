@@ -19,13 +19,8 @@ namespace {
 
 class MeanAccumulator final : public WindowAccumulator {
  public:
-  void add(double x) override {
-    sum_ += x;
-    ++n_;
-  }
-  void add_span(std::span<const double> xs) override {
-    // In-order running sum, exactly as add() — just without a virtual call
-    // per sample.
+  void add(std::span<const double> xs) override {
+    // In-order running sum: bit-identical to stats::mean.
     for (double x : xs) sum_ += x;
     n_ += xs.size();
   }
@@ -50,8 +45,7 @@ class MeanAccumulator final : public WindowAccumulator {
 
 class VarianceAccumulator final : public WindowAccumulator {
  public:
-  void add(double x) override { rs_.add(x); }
-  void add_span(std::span<const double> xs) override {
+  void add(std::span<const double> xs) override {
     for (double x : xs) rs_.add(x);
   }
   [[nodiscard]] double value() const override { return rs_.variance(); }
@@ -155,15 +149,12 @@ class EntropyAccumulator final : public WindowAccumulator {
     LINKPAD_EXPECTS(bin_width > 0.0);
   }
 
-  void add(double x) override {
-    // Same binning as SparseHistogram::add: bin(x) = floor(x / Δh).
-    counter_.add(static_cast<std::int64_t>(std::floor(x / bin_width_)));
-  }
-  void add_span(std::span<const double> xs) override {
-    // Two-phase SoA batch: the divide+floor pass has no loop-carried
-    // dependence and auto-vectorizes into a stack buffer of bin indices;
-    // only the hash-table inserts stay scalar. Bins are inserted in sample
-    // order, so the counter content is bit-identical to per-sample add().
+  void add(std::span<const double> xs) override {
+    // Same binning as SparseHistogram::add: bin(x) = floor(x / Δh). Two-phase
+    // SoA batch: the divide+floor pass has no loop-carried dependence and
+    // auto-vectorizes into a stack buffer of bin indices; only the
+    // hash-table inserts stay scalar. Bins are inserted in sample order, so
+    // the counter content does not depend on how the stream is split.
     std::array<std::int64_t, 256> bins;
     while (!xs.empty()) {
       const std::size_t take = std::min(xs.size(), bins.size());
@@ -204,8 +195,7 @@ class EntropyAccumulator final : public WindowAccumulator {
 /// size) and run the very same sorted-quantile code as the batch features.
 class BufferedMadAccumulator final : public WindowAccumulator {
  public:
-  void add(double x) override { buffer_.push_back(x); }
-  void add_span(std::span<const double> xs) override {
+  void add(std::span<const double> xs) override {
     buffer_.insert(buffer_.end(), xs.begin(), xs.end());
   }
   [[nodiscard]] double value() const override { return stats::mad(buffer_); }
@@ -222,8 +212,7 @@ class BufferedMadAccumulator final : public WindowAccumulator {
 
 class BufferedIqrAccumulator final : public WindowAccumulator {
  public:
-  void add(double x) override { buffer_.push_back(x); }
-  void add_span(std::span<const double> xs) override {
+  void add(std::span<const double> xs) override {
     buffer_.insert(buffer_.end(), xs.begin(), xs.end());
   }
   [[nodiscard]] double value() const override { return stats::iqr(buffer_); }
@@ -245,12 +234,7 @@ class BufferedIqrAccumulator final : public WindowAccumulator {
 /// for the large windows the sketch mode exists for.
 class SketchMadAccumulator final : public WindowAccumulator {
  public:
-  void add(double x) override {
-    median_.add(x);
-    deviation_.add(std::abs(x - median_.value()));
-  }
-  void add_span(std::span<const double> xs) override {
-    // Same update sequence as add(), minus one virtual dispatch per sample.
+  void add(std::span<const double> xs) override {
     for (double x : xs) {
       median_.add(x);
       deviation_.add(std::abs(x - median_.value()));
@@ -274,11 +258,7 @@ class SketchMadAccumulator final : public WindowAccumulator {
 
 class SketchIqrAccumulator final : public WindowAccumulator {
  public:
-  void add(double x) override {
-    q1_.add(x);
-    q3_.add(x);
-  }
-  void add_span(std::span<const double> xs) override {
+  void add(std::span<const double> xs) override {
     for (double x : xs) {
       q1_.add(x);
       q3_.add(x);

@@ -1,7 +1,7 @@
 // Streaming per-window feature accumulators (the single-pass counterpart of
 // FeatureExtractor).
 //
-// A WindowAccumulator consumes the PIATs of one window sample by sample and
+// A WindowAccumulator consumes the PIATs of one window span by span and
 // produces the window's feature value at the end — so a capture can be
 // pulled from its backend in bounded batches and reduced on the fly, with
 // resident memory independent of the capture length. Accumulators and
@@ -48,14 +48,10 @@ class WindowAccumulator {
  public:
   virtual ~WindowAccumulator() = default;
 
-  virtual void add(double x) = 0;
-
-  /// Bulk add: same result as add() per element. The hot accumulators
-  /// override this with a devirtualized tight loop — one virtual dispatch
-  /// per span instead of per sample on the bank's streaming path.
-  virtual void add_span(std::span<const double> xs) {
-    for (double x : xs) add(x);
-  }
+  /// Add the next samples of the window, in order. The result does not
+  /// depend on how a stream is split into spans; one virtual dispatch per
+  /// span keeps the bank's streaming path out of per-sample calls.
+  virtual void add(std::span<const double> xs) = 0;
 
   /// Feature value of the samples added since construction / reset().
   [[nodiscard]] virtual double value() const = 0;
@@ -73,8 +69,6 @@ class WindowAccumulator {
   /// O(1) for the moment/sketch accumulators, O(occupied bins) for entropy
   /// and O(buffered samples) for the exact dispersion accumulators.
   [[nodiscard]] virtual std::unique_ptr<WindowAccumulator> clone() const = 0;
-
-  void add_batch(std::span<const double> xs) { add_span(xs); }
 };
 
 /// Factory. Throws ContractViolation for kSampleEntropy without a bin width.

@@ -32,9 +32,9 @@ std::optional<double> theory_prediction(classify::FeatureKind kind,
   }
 }
 
-stats::BootstrapResult rate_ci(const classify::ConfusionMatrix& confusion) {
+stats::ConfidenceInterval rate_ci(const classify::ConfusionMatrix& confusion) {
   const double rate = confusion.detection_rate();
-  return stats::proportion_ci(
+  return stats::wilson_interval(
       static_cast<std::size_t>(
           std::llround(rate * static_cast<double>(confusion.total()))),
       confusion.total(), 0.95);

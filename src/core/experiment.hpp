@@ -21,7 +21,7 @@
 #include "classify/detector_bank.hpp"
 #include "core/piat_source.hpp"
 #include "core/scenarios.hpp"
-#include "stats/bootstrap.hpp"
+#include "stats/concentration.hpp"
 #include "util/rng.hpp"
 
 namespace linkpad::core {
@@ -118,7 +118,7 @@ struct ExperimentSpec {
 struct FeatureOutcome {
   classify::FeatureKind feature = classify::FeatureKind::kSampleVariance;
   double detection_rate = 0.5;          ///< empirical, eq. (7)
-  stats::BootstrapResult ci{};          ///< Wilson interval on the rate
+  stats::ConfidenceInterval ci{};       ///< Wilson interval on the rate
   classify::ConfusionMatrix confusion{2};
   std::optional<double> predicted;      ///< Theorems 1–3 at r_hat (2-class)
 };
@@ -160,7 +160,7 @@ struct DetectorOutcome {
 /// LARGEST sample size — the point whose capture the axis shares.
 struct ExperimentResult {
   double detection_rate = 0.5;          ///< empirical, eq. (7)
-  stats::BootstrapResult ci{};          ///< Wilson interval on the rate
+  stats::ConfidenceInterval ci{};       ///< Wilson interval on the rate
   classify::ConfusionMatrix confusion{2};
   double r_hat = 1.0;                   ///< measured variance ratio (2-class)
   std::optional<double> predicted;      ///< Theorems 1–3 at r_hat (2-class)

@@ -24,6 +24,7 @@ const Curve& FigureSeries::curve(const std::string& name) const {
 namespace {
 
 std::size_t scaled(std::size_t base, double effort) {
+  LINKPAD_EXPECTS(effort > 0.0);
   return std::max<std::size_t>(8, static_cast<std::size_t>(
                                       std::llround(base * effort)));
 }

@@ -458,12 +458,11 @@ PopulationResult PopulationEngine::run(const PopulationSpec& spec) const {
   std::iota(all_chunks.begin(), all_chunks.end(), std::size_t{0});
   std::vector<ChunkAggregate> chunks = run_chunks(spec, all_chunks);
 
-  // Deterministic fixed-shape binary tree over the per-chunk partials.
-  // Every merge is an ordered concatenation, so the reduced aggregate is
-  // the flow-id-ordered sequence no matter how many threads ran.
-  ChunkAggregate all = util::tree_reduce(
-      std::move(chunks),
-      [](ChunkAggregate& left, ChunkAggregate& right) { left.merge(right); });
+  // Fold the per-chunk partials in chunk order. Every merge is an ordered
+  // concatenation, so the aggregate is the flow-id-ordered sequence no
+  // matter how many threads ran.
+  ChunkAggregate all = std::move(chunks.front());
+  for (std::size_t i = 1; i < chunks.size(); ++i) all.merge(chunks[i]);
 
   const auto sampled =
       sampled_finalize(spec.flows, spec.sample_flows, spec.sample_round, spec.seed);
@@ -493,7 +492,7 @@ PopulationResult run_sampled_until(const PopulationSpec& spec,
   // chunk at local first_flow x covers positions r·m + x, so consecutive
   // rounds concatenate into exactly the prefix a single (k·m)-flow sampled
   // run would execute — the aggregates are bit-identical to it.
-  std::vector<ChunkAggregate> accumulated;
+  std::optional<ChunkAggregate> accumulated;
   SampledFinalize view;
   view.population = spec.flows;
   view.confidence = adaptive.confidence;
@@ -513,21 +512,21 @@ PopulationResult run_sampled_until(const PopulationSpec& spec,
                                                            chunk_ids);
     for (ChunkAggregate& chunk : chunks) {
       chunk.first_flow += round * adaptive.round_flows;
-      accumulated.push_back(std::move(chunk));
+      if (accumulated) {
+        accumulated->merge(chunk);
+      } else {
+        accumulated = std::move(chunk);
+      }
     }
     const std::vector<std::size_t> round_ids = sampled_flow_ids(
         spec.flows, adaptive.round_flows, round, spec.seed);
     view.flow_ids.insert(view.flow_ids.end(), round_ids.begin(),
                          round_ids.end());
 
-    // Re-finalize over a COPY: later rounds keep extending the accumulated
-    // sequence, and the tree reduction consumes its input.
-    std::vector<ChunkAggregate> partials = accumulated;
-    ChunkAggregate all = util::tree_reduce(
-        std::move(partials),
-        [](ChunkAggregate& left, ChunkAggregate& right) { left.merge(right); });
+    // Finalize a COPY: later rounds keep extending the accumulated
+    // sequence, and finalize consumes its input.
     result = finalize_population(
-        std::move(all), view.flow_ids.size(), spec.experiment.sample_sizes(),
+        *accumulated, view.flow_ids.size(), spec.experiment.sample_sizes(),
         spec.detection_threshold,
         spec.experiment.scenario.base.policy->mean_interval(), &view);
 

@@ -22,9 +22,8 @@
 //    grain-aligned chunks (util::parallel_for_chunks; chunk boundaries
 //    derive from M alone), each chunk folds its flows' rates and overhead
 //    into a mergeable accumulator in flow order, and the per-chunk partials
-//    reduce in a deterministic fixed-shape binary tree (util::tree_reduce)
-//    whose merges are exact concatenations — so the order-sensitive P²
-//    sketches still see the full flow-id feed order at finalize;
+//    fold in chunk order by exact concatenation — so the order-sensitive
+//    P² sketches still see the full flow-id feed order at finalize;
 //  * M-prefix: flows 0..k-1 of an M-flow run are bit-identical to a
 //    standalone k-flow run of the same spec with contention_flows pinned
 //    to M — shrinking the tapped set never perturbs the flows kept.
@@ -169,8 +168,8 @@ struct FlowCpd {
 /// contiguous, grain-aligned run of flow ids and stores, in flow order: one
 /// detection rate per (axis point, flow), one overhead summary per flow,
 /// and (optionally) the flows' full ExperimentResults. Merging adjacent
-/// chunks is ordered concatenation — exact and associative — so the
-/// reduction tree's shape can never perturb a bit; the order-sensitive
+/// chunks is ordered concatenation — exact — so the chunk fold can never
+/// perturb a bit; the order-sensitive
 /// parts of the aggregation (P² sketches, float sums) run over the merged
 /// flow-order sequence at finalize. Because the merge is pure
 /// concatenation, a chunk is also the unit of process sharding: shard
@@ -462,7 +461,7 @@ struct AdaptiveSamplingOptions {
 
 /// Runs spec.sampled(round_flows, r) for r = 0, 1, … — each round's chunks
 /// computed by the normal chunked/threaded path — concatenating rounds via
-/// the same ChunkAggregate/tree_reduce machinery and re-finalizing after
+/// one running ChunkAggregate (in-order merges) and re-finalizing after
 /// each, until the stopping rule fires. `spec` must be exhaustive (the
 /// driver owns the sampling fields); requires round_flows ≤ spec.flows.
 /// The result is bit-identical to a single spec.sampled(k·round_flows)-

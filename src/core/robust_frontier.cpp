@@ -171,6 +171,23 @@ RobustFrontierResult run_robust_frontier(const RobustFrontierSpec& spec,
   }
   require_overhead_accounting(backend, spec.frontier.point_spec(0),
                               "run_robust_frontier");
+  // Every window candidate must fit the scoring capture (the fixed plan's
+  // windows of n PIATs) with two training windows and one test window —
+  // checked here, before any point pays for tuning.
+  const AdversaryPlan& plan = spec.frontier.plan;
+  const std::size_t n = plan.adversary.window_size;
+  for (const auto& candidate : spec.space.expand()) {
+    const std::size_t w = candidate.adversary.window_size;
+    if (!candidate.cpd && (plan.train_windows * n < 2 * w ||
+                           plan.test_windows * n < w)) {
+      throw std::invalid_argument(
+          "run_robust_frontier: candidate '" +
+          classify::candidate_label(candidate) + "' needs 2 training and 1 "
+          "test window of " + std::to_string(w) + " PIATs, but the scoring "
+          "capture holds " + std::to_string(plan.train_windows * n) + " and " +
+          std::to_string(plan.test_windows * n) + " PIATs per class");
+    }
+  }
 
   const std::size_t count = spec.frontier.policies.size();
 

@@ -11,7 +11,6 @@
 #include <utility>
 
 #include "util/check.hpp"
-#include "util/thread_pool.hpp"
 
 namespace linkpad::core {
 
@@ -19,9 +18,9 @@ namespace linkpad::core {
 // One list per record, in wire order. Any change to a list is a format
 // change (bump kShardFormatVersion).
 
-template <class V, RecordOf<stats::BootstrapResult> R>
+template <class V, RecordOf<stats::ConfidenceInterval> R>
 void visit_fields(V& v, R& ci) {
-  v("estimate", ci.estimate);
+  v("estimate", ci.point);
   v("lo", ci.lo);
   v("hi", ci.hi);
 }
@@ -566,10 +565,10 @@ PopulationResult merge_shards(std::vector<PopulationShard> shards) {
     throw std::invalid_argument(msg.str());
   }
 
-  // Same deterministic reduction + single finalize as the 1-process run.
-  ChunkAggregate all = util::tree_reduce(
-      std::move(chunks),
-      [](ChunkAggregate& left, ChunkAggregate& right) { left.merge(right); });
+  // Same in-order fold + single finalize as the 1-process run.
+  LINKPAD_EXPECTS(!chunks.empty());
+  ChunkAggregate all = std::move(chunks.front());
+  for (std::size_t i = 1; i < chunks.size(); ++i) all.merge(chunks[i]);
   const auto sampled =
       sampled_finalize(head.flows, head.sample_flows, head.sample_round, head.seed);
   return finalize_population(std::move(all), executed, head.sample_sizes,

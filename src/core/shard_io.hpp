@@ -148,9 +148,9 @@ struct ShardRunOptions {
 /// Merge N shards of one campaign into the final PopulationResult: verify
 /// the headers agree and the chunk union covers the (executed_flows, grain)
 /// partition exactly once with one change-point detector layout
-/// (cpd_kinds), tree-reduce the deserialized ChunkAggregates in chunk order
-/// (ordered concatenation — the same fixed-shape reduction the
-/// single-process run uses), and run the order-sensitive finalize exactly
+/// (cpd_kinds), fold the deserialized ChunkAggregates in chunk order
+/// (ordered concatenation — the same fold the single-process run uses),
+/// and run the order-sensitive finalize exactly
 /// once (with the sampled-estimate view when the campaign is sampled).
 /// Bit-identical to PopulationEngine::run of the same spec. A disagreement
 /// throws std::invalid_argument with a message starting "shard_io:".

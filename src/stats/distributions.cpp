@@ -1,7 +1,6 @@
 #include "stats/distributions.hpp"
 
-#include <array>
-#include <atomic>
+#include <algorithm>
 #include <cmath>
 
 #include "stats/special_math.hpp"
@@ -11,126 +10,9 @@ namespace linkpad::stats {
 
 namespace {
 constexpr double kTwoPi = 6.283185307179586;
-
-std::atomic<bool> g_ziggurat{false};
-
-// ------------------------------------------------------------- Ziggurat --
-//
-// 256-layer Ziggurat rejection (Marsaglia & Tsang 2000, in the double-based
-// formulation of Doornik 2005). The density is covered by 255 equal-area
-// horizontal strips plus a base strip holding the tail; a draw picks a
-// strip, accepts immediately when it lands inside the strip's rectangle
-// core (~98.8% of draws: one uniform, one table compare), and otherwise
-// falls back to an edge/tail test. Tables are built once at first use from
-// the published (R, V) constants, not transcribed, so they are exact to
-// double precision.
-
-constexpr int kZigLayers = 256;
-
-struct ZigTables {
-  // x[0] > R is the pseudo-edge of the base strip; x[1] = R; x[256] = 0.
-  std::array<double, kZigLayers + 1> x;
-  std::array<double, kZigLayers + 1> f;  // density at x[i]
-};
-
-/// Build strip edges for a monotone density `pdf` with strip area `v` and
-/// tail cut `r` (pdf unnormalized such that pdf(0) == 1).
-template <typename Pdf, typename PdfInv>
-ZigTables build_zig(double r, double v, Pdf pdf, PdfInv pdf_inv) {
-  ZigTables t;
-  t.x[0] = v / pdf(r);  // base strip: rectangle of width V/f(R) + the tail
-  t.x[1] = r;
-  t.x[kZigLayers] = 0.0;
-  for (int i = 2; i < kZigLayers; ++i) {
-    // Strip i sits on top of strip i-1: area V = x_i · (f(x_i) − f(x_{i−1}))
-    t.x[i] = pdf_inv(v / t.x[i - 1] + pdf(t.x[i - 1]));
-  }
-  for (int i = 0; i <= kZigLayers; ++i) t.f[i] = pdf(t.x[i]);
-  // Strip edges must descend strictly to 0 — anything else means the
-  // (R, V) constants do not match the layer count.
-  for (int i = 1; i <= kZigLayers; ++i) {
-    LINKPAD_ENSURES(std::isfinite(t.x[i]) && t.x[i] < t.x[i - 1]);
-  }
-  return t;
-}
-
-const ZigTables& normal_zig() {
-  // Doornik 2005, table for 256 blocks of the standard normal half-density.
-  static const ZigTables t = build_zig(
-      3.6541528853610088, 0.00492867323399,
-      [](double x) { return std::exp(-0.5 * x * x); },
-      [](double y) { return std::sqrt(-2.0 * std::log(y)); });
-  return t;
-}
-
-const ZigTables& exponential_zig() {
-  // Doornik 2005, 256 blocks of exp(−x).
-  static const ZigTables t = build_zig(
-      7.69711747013104972, 0.0039496598225815571993,
-      [](double x) { return std::exp(-x); },
-      [](double y) { return -std::log(y); });
-  return t;
-}
-
-/// Uniform in (0, 1]: safe to pass to log().
-inline double uniform_open0(Rng& rng) { return 1.0 - rng.uniform01(); }
-
-/// Exact normal tail beyond `r` (Marsaglia 1964), sign applied by caller.
-double normal_tail(Rng& rng, double r) {
-  for (;;) {
-    const double x = std::log(uniform_open0(rng)) / r;  // x <= 0
-    const double y = std::log(uniform_open0(rng));
-    if (-2.0 * y >= x * x) return r - x;
-  }
-}
-
 }  // namespace
 
-void set_ziggurat_sampling(bool enabled) {
-  g_ziggurat.store(enabled, std::memory_order_relaxed);
-}
-
-bool ziggurat_sampling() { return g_ziggurat.load(std::memory_order_relaxed); }
-
-double sample_standard_normal_ziggurat(Rng& rng) {
-  const ZigTables& t = normal_zig();
-  for (;;) {
-    const std::uint64_t bits = rng();
-    const int i = static_cast<int>(bits & 0xff);
-    const double u = 2.0 * rng.uniform01() - 1.0;
-    const double x = u * t.x[i];
-    // Inside the strip's rectangle core: accept without evaluating exp().
-    if (std::abs(x) < t.x[i + 1]) return x;
-    if (i == 0) {
-      // Base strip: the rectangle part was rejected, so draw from the tail.
-      const double tail = normal_tail(rng, t.x[1]);
-      return u < 0.0 ? -tail : tail;
-    }
-    // Strip edge: accept against the density wedge.
-    const double fx = std::exp(-0.5 * x * x);
-    if (t.f[i + 1] + rng.uniform01() * (t.f[i] - t.f[i + 1]) < fx) return x;
-  }
-}
-
-double sample_standard_exponential_ziggurat(Rng& rng) {
-  const ZigTables& t = exponential_zig();
-  for (;;) {
-    const std::uint64_t bits = rng();
-    const int i = static_cast<int>(bits & 0xff);
-    const double u = rng.uniform01();
-    const double x = u * t.x[i];
-    if (x < t.x[i + 1]) return x;
-    if (i == 0) {
-      // Tail beyond R: memorylessness makes the tail draw exact.
-      return t.x[1] + sample_standard_exponential_ziggurat(rng);
-    }
-    const double fx = std::exp(-x);
-    if (t.f[i + 1] + rng.uniform01() * (t.f[i] - t.f[i + 1]) < fx) return x;
-  }
-}
-
 double sample_standard_normal(Rng& rng) {
-  if (ziggurat_sampling()) return sample_standard_normal_ziggurat(rng);
   // Marsaglia polar method; we deliberately do not cache the second deviate
   // so that the distribution objects stay stateless/shareable.
   for (;;) {
@@ -257,9 +139,6 @@ double Exponential::cdf(double x) const {
 }
 
 double Exponential::sample(Rng& rng) const {
-  if (ziggurat_sampling()) {
-    return mean_ * sample_standard_exponential_ziggurat(rng);
-  }
   // Inversion: -mean * log(1 - U) with U in [0,1) never takes log(0).
   return -mean_ * std::log1p(-rng.uniform01());
 }

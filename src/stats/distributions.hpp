@@ -20,25 +20,9 @@ namespace linkpad::stats {
 
 using Rng = util::Rng;
 
-/// Opt-in fast sampling: when enabled, sample_standard_normal (and with it
-/// Normal / HalfNormal / TruncatedNormal) and Exponential::sample switch to
-/// 256-layer Ziggurat rejection instead of the polar / inverse-CDF
-/// reference paths. Default OFF: the Ziggurat consumes a different
-/// (seed-reproducible) sequence of engine draws, so every shipped figure
-/// stays bit-reproducible unless a caller explicitly opts in. The flag is a
-/// process-wide atomic; flip it only between experiments, not mid-sweep.
-void set_ziggurat_sampling(bool enabled);
-[[nodiscard]] bool ziggurat_sampling();
-
 /// Draw one standard normal via the Marsaglia polar method (deterministic:
-/// consumes a variable but seed-reproducible number of uniforms). With
-/// set_ziggurat_sampling(true), dispatches to the Ziggurat instead.
+/// consumes a variable but seed-reproducible number of uniforms).
 double sample_standard_normal(Rng& rng);
-
-/// Direct 256-layer Ziggurat draws (flag-independent; exposed for the
-/// acceptance tests and micro_perf).
-double sample_standard_normal_ziggurat(Rng& rng);
-double sample_standard_exponential_ziggurat(Rng& rng);
 
 /// Normal N(mean, sigma²).
 class Normal {

@@ -1,6 +1,7 @@
 #include "util/cli.hpp"
 
 #include <algorithm>
+#include <cmath>
 #include <cstdio>
 #include <iostream>
 #include <sstream>
@@ -35,6 +36,21 @@ std::optional<double> parse_number_text(const std::string& text) {
   } catch (const std::exception&) {
     return std::nullopt;
   }
+}
+
+/// " in (lo, hi)" / " in [lo, hi]" for a declared range; empty when the
+/// range is the whole real line.
+std::string describe(const NumRange& range) {
+  if (!std::isfinite(range.lo) && !std::isfinite(range.hi)) return "";
+  char buf[96];
+  std::snprintf(buf, sizeof(buf), " in %c%g, %g%c", range.open ? '(' : '[',
+                range.lo, range.hi, range.open ? ')' : ']');
+  return buf;
+}
+
+bool contains(const NumRange& range, double v) {
+  return range.open ? range.lo < v && v < range.hi
+                    : range.lo <= v && v <= range.hi;
 }
 
 std::string join_choices(const std::vector<std::string>& choices) {
@@ -72,16 +88,18 @@ void ArgParser::add_int(const std::string& name, std::int64_t default_value,
 }
 
 void ArgParser::add_count(const std::string& name, std::size_t default_value,
-                          const std::string& help_text) {
-  declare(name,
-          Spec{help_text, std::to_string(default_value), Kind::kCount, {}});
+                          const std::string& help_text, std::size_t min) {
+  LINKPAD_EXPECTS(default_value >= min);
+  declare(name, Spec{help_text, std::to_string(default_value), Kind::kCount,
+                     {}, min});
 }
 
 void ArgParser::add_num(const std::string& name, double default_value,
-                        const std::string& help_text) {
+                        const std::string& help_text, NumRange range) {
+  LINKPAD_EXPECTS(contains(range, default_value));
   char buf[32];
   std::snprintf(buf, sizeof(buf), "%g", default_value);
-  declare(name, Spec{help_text, buf, Kind::kNum, {}});
+  declare(name, Spec{help_text, buf, Kind::kNum, {}, 0, range});
 }
 
 void ArgParser::add_choice(const std::string& name,
@@ -136,10 +154,12 @@ bool ArgParser::parse(int argc, const char* const* argv) {
     if (spec.kind == Kind::kInt && !parse_integer_text(value)) {
       problem = "is not an integer";
     } else if (spec.kind == Kind::kCount &&
-               parse_integer_text(value).value_or(-1) < 0) {
-      problem = "is not a non-negative integer";
-    } else if (spec.kind == Kind::kNum && !parse_number_text(value)) {
-      problem = "is not a number";
+               parse_integer_text(value).value_or(-1) <
+                   static_cast<std::int64_t>(spec.min_count)) {
+      problem = "is not an integer >= " + std::to_string(spec.min_count);
+    } else if (spec.kind == Kind::kNum &&
+               !contains(spec.range, parse_number_text(value).value_or(NAN))) {
+      problem = "is not a number" + describe(spec.range);
     } else if (spec.kind == Kind::kChoice &&
                std::find(spec.choices.begin(), spec.choices.end(), value) ==
                    spec.choices.end()) {

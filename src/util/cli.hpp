@@ -1,20 +1,30 @@
 // Small command-line option parser for the figure drivers and examples.
 //
 // Supports `--name value`, `--name=value`, and boolean flags. Unknown
-// arguments and bad typed values (a non-number, a negative count, a choice
-// outside its list) are an error that names the option, reported by parse()
-// before the run starts: typos in sweep parameters must not be silently
-// ignored — or crash a run — in an experiment harness.
+// arguments and bad typed values (a non-number, a count or number outside
+// its declared range, a choice outside its list) are an error that names
+// the option, reported by parse() before the run starts: typos in sweep
+// parameters must not be silently ignored — or crash a run — in an
+// experiment harness.
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
+#include <limits>
 #include <map>
 #include <optional>
 #include <string>
 #include <vector>
 
 namespace linkpad::util {
+
+/// The values a typed number option accepts: from `lo` to `hi`, both ends
+/// included, or both excluded when `open`.
+struct NumRange {
+  double lo = -std::numeric_limits<double>::infinity();
+  double hi = std::numeric_limits<double>::infinity();
+  bool open = false;
+};
 
 /// Declarative command-line parser; declare options, then parse().
 class ArgParser {
@@ -33,13 +43,14 @@ class ArgParser {
   /// in the generated --help.
   void add_int(const std::string& name, std::int64_t default_value,
                const std::string& help);
-  /// Declare a typed count option: a non-negative integer (sizes, windows,
-  /// flows, threads). A negative value fails at parse time.
+  /// Declare a typed count option: an integer ≥ `min` (sizes, windows,
+  /// flows, threads). A smaller or negative value fails at parse time.
   void add_count(const std::string& name, std::size_t default_value,
-                 const std::string& help);
-  /// Declare a typed real-number option (same parse-time validation).
+                 const std::string& help, std::size_t min = 0);
+  /// Declare a typed real-number option (same parse-time validation); a
+  /// value outside `range` fails at parse time.
   void add_num(const std::string& name, double default_value,
-               const std::string& help);
+               const std::string& help, NumRange range = {});
   /// Declare a string option restricted to `choices`; any other value fails
   /// at parse time. `default_value` must be one of the choices.
   void add_choice(const std::string& name, const std::string& default_value,
@@ -69,6 +80,8 @@ class ArgParser {
     std::string default_value;
     Kind kind = Kind::kString;
     std::vector<std::string> choices;  ///< kChoice only
+    std::size_t min_count = 0;         ///< kCount only
+    NumRange range{};                  ///< kNum only
   };
   const Spec& spec_for(const std::string& name) const;
   /// The value of a typed option, after checking it was declared `kind`.

@@ -9,9 +9,9 @@
 // receives (slot, begin, end); `slot` identifies the executing task (stable
 // for that task's whole drain loop), so callers keep per-slot scratch —
 // engines, spec copies, partial reductions — alive across every chunk the
-// task claims. Pair with tree_reduce to fold per-chunk partials
-// deterministically. A one-worker pool runs every chunk inline, in order,
-// on the caller — that IS the serial reference schedule.
+// task claims; callers fold the per-chunk partials in chunk order, so the
+// result never depends on the schedule. A one-worker pool runs every chunk
+// inline, in order, on the caller — that IS the serial reference schedule.
 //
 // Dispatch is nested-dispatch safe: a call issued from inside a task of the
 // SAME pool runs inline on that worker (waiting on the pool from one of its
@@ -27,10 +27,7 @@
 #include <mutex>
 #include <queue>
 #include <thread>
-#include <utility>
 #include <vector>
-
-#include "util/check.hpp"
 
 namespace linkpad::util {
 
@@ -149,30 +146,6 @@ void parallel_for_chunks(ThreadPool& pool, std::size_t n, std::size_t grain,
   pool.wait_idle();
 
   if (first_error) std::rethrow_exception(first_error);
-}
-
-/// Deterministic fixed-shape binary tree reduction: adjacent pairs fold
-/// level by level (merge(left, right) folds right INTO left) until one item
-/// remains. The tree shape is a pure function of items.size(), so a
-/// non-commutative merge — concatenation, order-sensitive sketches — still
-/// reduces identically on every run and at every thread count. Expects at
-/// least one item.
-template <typename T, typename Merge>
-T tree_reduce(std::vector<T> items, Merge&& merge) {
-  LINKPAD_EXPECTS(!items.empty());
-  while (items.size() > 1) {
-    std::size_t out = 0;
-    for (std::size_t i = 0; i + 1 < items.size(); i += 2) {
-      merge(items[i], items[i + 1]);
-      if (out != i) items[out] = std::move(items[i]);
-      ++out;
-    }
-    if (items.size() % 2 == 1) {
-      items[out++] = std::move(items.back());
-    }
-    items.resize(out);
-  }
-  return std::move(items.front());
 }
 
 }  // namespace linkpad::util

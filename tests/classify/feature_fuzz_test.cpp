@@ -59,7 +59,7 @@ void expect_bitwise(double a, double b, const std::string& label) {
       << label << ": " << a << " vs " << b;
 }
 
-/// Feed `window` through a fresh accumulator in random-sized add_span
+/// Feed `window` through a fresh accumulator in random-sized span
 /// chunks (batch boundaries must be invisible) and compare bitwise with
 /// the batch extractor.
 void check_stream(FeatureKind kind, util::Rng& rng, std::size_t iteration) {
@@ -75,11 +75,11 @@ void check_stream(FeatureKind kind, util::Rng& rng, std::size_t iteration) {
   while (!rest.empty()) {
     const auto chunk = std::min<std::size_t>(
         rest.size(), 1 + static_cast<std::size_t>(rng.uniform(0.0, 63.0)));
-    // Alternate the scalar and span entry points; both must agree.
+    // Mix one-element spans with multi-sample spans; both must agree.
     if (rng.uniform01() < 0.3) {
-      for (const double x : rest.first(chunk)) accumulator->add(x);
+      for (const double& x : rest.first(chunk)) accumulator->add({&x, 1});
     } else {
-      accumulator->add_span(rest.first(chunk));
+      accumulator->add(rest.first(chunk));
     }
     rest = rest.subspan(chunk);
   }
@@ -132,7 +132,7 @@ TEST(FeatureFuzz, SketchedQuantilesTrackExactOnRandomStreams) {
       AccumulatorOptions options;
       options.quantile_mode = QuantileMode::kP2Sketch;
       auto sketched = make_window_accumulator(kind, options);
-      sketched->add_span(window);
+      sketched->add(window);
       const double exact = make_feature(kind)->extract(window);
       EXPECT_NEAR(sketched->value(), exact, 0.05 * exact)
           << feature_name(kind) << " stream " << i;

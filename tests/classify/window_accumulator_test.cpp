@@ -1,13 +1,15 @@
 // Streaming-vs-batch feature equivalence at the window level: for every
-// FeatureKind, a WindowAccumulator fed sample by sample (in any batch
-// chopping) must reproduce the batch FeatureExtractor — bit-identically for
-// mean/variance/entropy and the exact-quantile MAD/IQR, and within the
-// documented P² tolerance for the sketch-based MAD/IQR.
+// FeatureKind, a WindowAccumulator fed in spans of any size (one sample, or
+// batches crossing window boundaries) must reproduce the batch
+// FeatureExtractor — bit-identically for mean/variance/entropy and the
+// exact-quantile MAD/IQR, and within the documented P² tolerance for the
+// sketch-based MAD/IQR.
 #include "classify/window_accumulator.hpp"
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <span>
 #include <vector>
 
 #include "stats/distributions.hpp"
@@ -41,22 +43,26 @@ const std::vector<FeatureKind> kAllFeatures = {
 
 /// Chop `stream` into windows of `n`, but DELIVER it in batches of
 /// `batch` — crossing window boundaries mid-batch, exactly like the
-/// engine's backend pulls. Returns one feature value per complete window.
+/// engine's backend pulls. Each batch reaches the accumulator as spans
+/// split only at window boundaries. Returns one feature value per complete
+/// window.
 std::vector<double> streamed_features(WindowAccumulator& acc,
                                       const std::vector<double>& stream,
                                       std::size_t n, std::size_t batch) {
   std::vector<double> features;
-  std::size_t offset = 0;
-  while (offset < stream.size()) {
-    const std::size_t take = std::min(batch, stream.size() - offset);
-    for (std::size_t i = 0; i < take; ++i) {
-      acc.add(stream[offset + i]);
+  std::span<const double> rest(stream);
+  while (!rest.empty()) {
+    auto pulled = rest.first(std::min(batch, rest.size()));
+    rest = rest.subspan(pulled.size());
+    while (!pulled.empty()) {
+      const std::size_t take = std::min(n - acc.count(), pulled.size());
+      acc.add(pulled.first(take));
+      pulled = pulled.subspan(take);
       if (acc.count() == n) {
         features.push_back(acc.value());
         acc.reset();
       }
     }
-    offset += take;
   }
   return features;
 }
@@ -68,9 +74,10 @@ TEST(WindowAccumulator, BitIdenticalToBatchExtractorAtAnyBatchSize) {
   for (const auto kind : kAllFeatures) {
     const auto extractor = make_feature(kind, kBinWidth);
     auto acc = make_window_accumulator(kind, exact_options());
-    // Batch sizes: tiny, engine default, and the whole stream at once.
-    for (const std::size_t batch : {std::size_t{64}, std::size_t{8192},
-                                    stream.size()}) {
+    // Batch sizes: one sample (a one-element span per add), tiny, engine
+    // default, and the whole stream at once.
+    for (const std::size_t batch : {std::size_t{1}, std::size_t{64},
+                                    std::size_t{8192}, stream.size()}) {
       const auto streamed = streamed_features(*acc, stream, n, batch);
       ASSERT_EQ(streamed.size(), 8u) << extractor->name();
       for (std::size_t w = 0; w < streamed.size(); ++w) {
@@ -149,7 +156,7 @@ TEST(WindowAccumulator, EntropyRequiresBinWidth) {
 TEST(WindowAccumulator, CountTracksAddsAndReset) {
   auto acc = make_window_accumulator(FeatureKind::kSampleMean);
   EXPECT_EQ(acc->count(), 0u);
-  acc->add_batch(std::vector<double>{1.0, 2.0, 3.0});
+  acc->add(std::vector<double>{1.0, 2.0, 3.0});
   EXPECT_EQ(acc->count(), 3u);
   EXPECT_DOUBLE_EQ(acc->value(), 2.0);
   acc->reset();

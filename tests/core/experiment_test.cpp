@@ -66,6 +66,18 @@ TEST(Experiment, ConfidenceIntervalBracketsEstimate) {
   EXPECT_GT(r.ci.hi - r.ci.lo, 0.0);
 }
 
+TEST(Experiment, PerfectDetectionLiesInsideItsInterval) {
+  // At p̂ = 1 the Wilson upper end is exactly 1. Unsnapped, the sqrt
+  // rounding lands it a hair below 1 at these 16 test windows.
+  auto spec = quick_spec(classify::FeatureKind::kSampleVariance, 4000);
+  spec.plan.train_windows = 10;
+  spec.plan.test_windows = 8;
+  const auto r = ExperimentEngine().run(spec);
+  ASSERT_EQ(r.detection_rate, 1.0);
+  EXPECT_LE(r.ci.lo, r.detection_rate);
+  EXPECT_LE(r.detection_rate, r.ci.hi);
+}
+
 TEST(Experiment, DeterministicForSameSeed) {
   const auto a =
       ExperimentEngine().run(quick_spec(classify::FeatureKind::kSampleEntropy));

@@ -232,5 +232,25 @@ TEST(RobustMisuse, EarlyStopThrowsNamedInvalidArgument) {
   }
 }
 
+TEST(RobustMisuse, CandidateLargerThanTheScoringCaptureIsANamedError) {
+  // 3 scoring windows of 200 PIATs cannot hold two training windows of a
+  // 400-PIAT candidate: a named error before any point is tuned.
+  auto spec = golden_spec();
+  spec.frontier.plan.train_windows = 3;
+  spec.frontier.plan.test_windows = 3;
+  spec.space.window_sizes = {100, 400};
+  std::size_t progress_calls = 0;
+  SweepOptions options;
+  options.progress = [&](std::size_t, std::size_t) { ++progress_calls; };
+  try {
+    (void)run_robust_frontier(spec, sim_backend(), options);
+    FAIL() << "expected std::invalid_argument";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_NE(std::string(e.what()).find("400 PIATs"), std::string::npos)
+        << e.what();
+  }
+  EXPECT_EQ(progress_calls, 0u);
+}
+
 }  // namespace
 }  // namespace linkpad::core

@@ -122,9 +122,9 @@ std::size_t random_count(util::Rng& rng, double hi) {
   return static_cast<std::size_t>(rng.uniform(0.0, hi));
 }
 
-stats::BootstrapResult random_ci(util::Rng& rng) {
-  stats::BootstrapResult ci;
-  ci.estimate = random_double(rng);
+stats::ConfidenceInterval random_ci(util::Rng& rng) {
+  stats::ConfidenceInterval ci;
+  ci.point = random_double(rng);
   ci.lo = random_double(rng);
   ci.hi = random_double(rng);
   return ci;
@@ -322,7 +322,7 @@ void expect_same_result_bits(const ExperimentResult& a,
                              const ExperimentResult& b,
                              const std::string& label) {
   expect_bits(a.detection_rate, b.detection_rate, label + " rate");
-  expect_bits(a.ci.estimate, b.ci.estimate, label + " ci.estimate");
+  expect_bits(a.ci.point, b.ci.point, label + " ci.point");
   expect_bits(a.ci.lo, b.ci.lo, label + " ci.lo");
   expect_bits(a.ci.hi, b.ci.hi, label + " ci.hi");
   expect_bits(a.r_hat, b.r_hat, label + " r_hat");

@@ -2,9 +2,7 @@
 
 #include <gtest/gtest.h>
 
-#include <algorithm>
 #include <cmath>
-#include <vector>
 
 #include "stats/descriptive.hpp"
 #include "util/check.hpp"
@@ -193,96 +191,6 @@ TEST(StandardNormal, SamplerMomentsMatch) {
   EXPECT_NEAR(rs.mean(), 0.0, 0.01);
   EXPECT_NEAR(rs.variance(), 1.0, 0.02);
   EXPECT_NEAR(rs.excess_kurtosis(), 0.0, 0.05);
-}
-
-
-namespace ziggurat_acceptance {
-
-/// Two-sample KS distance between sorted samples (local helper; the stats
-/// EDF header is exercised elsewhere).
-double ks_sorted(std::vector<double> a, std::vector<double> b) {
-  std::sort(a.begin(), a.end());
-  std::sort(b.begin(), b.end());
-  double d = 0.0;
-  std::size_t i = 0, j = 0;
-  while (i < a.size() && j < b.size()) {
-    if (a[i] <= b[j]) {
-      ++i;
-    } else {
-      ++j;
-    }
-    const double fa = double(i) / a.size();
-    const double fb = double(j) / b.size();
-    d = std::max(d, std::abs(fa - fb));
-  }
-  return d;
-}
-
-}  // namespace ziggurat_acceptance
-
-TEST(Ziggurat, NormalMatchesPolarByKsAndMoments) {
-  constexpr int kN = 100000;
-  util::Xoshiro256pp rng_a(71), rng_b(72);
-  std::vector<double> zig(kN), polar(kN);
-  RunningStats rs;
-  for (int i = 0; i < kN; ++i) {
-    zig[i] = sample_standard_normal_ziggurat(rng_a);
-    polar[i] = sample_standard_normal(rng_b);
-    rs.add(zig[i]);
-  }
-  EXPECT_NEAR(rs.mean(), 0.0, 0.02);
-  EXPECT_NEAR(rs.variance(), 1.0, 0.03);
-  EXPECT_NEAR(rs.skewness(), 0.0, 0.05);
-  EXPECT_NEAR(rs.excess_kurtosis(), 0.0, 0.1);
-  // Two-sample KS at alpha = 0.001: c * sqrt(2/n) with c = 1.95.
-  const double crit = 1.95 * std::sqrt(2.0 / kN);
-  EXPECT_LT(ziggurat_acceptance::ks_sorted(zig, polar), crit);
-}
-
-TEST(Ziggurat, ExponentialMatchesInverseCdfByKsAndMoments) {
-  constexpr int kN = 100000;
-  util::Xoshiro256pp rng_a(81), rng_b(82);
-  const Exponential reference(1.0);
-  std::vector<double> zig(kN), inv(kN);
-  RunningStats rs;
-  for (int i = 0; i < kN; ++i) {
-    zig[i] = sample_standard_exponential_ziggurat(rng_a);
-    inv[i] = reference.sample(rng_b);
-    rs.add(zig[i]);
-    ASSERT_GE(zig[i], 0.0);
-  }
-  EXPECT_NEAR(rs.mean(), 1.0, 0.02);
-  EXPECT_NEAR(rs.variance(), 1.0, 0.05);
-  const double crit = 1.95 * std::sqrt(2.0 / kN);
-  EXPECT_LT(ziggurat_acceptance::ks_sorted(zig, inv), crit);
-}
-
-TEST(Ziggurat, FlagSwitchesSamplersAndRestoresBitReproducibility) {
-  ASSERT_FALSE(ziggurat_sampling());  // default OFF: figures reproducible
-
-  util::Xoshiro256pp before(5);
-  std::vector<double> reference(64);
-  for (auto& x : reference) x = sample_standard_normal(before);
-
-  set_ziggurat_sampling(true);
-  EXPECT_TRUE(ziggurat_sampling());
-  util::Xoshiro256pp zig_rng(5), direct_rng(5);
-  for (int i = 0; i < 64; ++i) {
-    // Dispatched and direct draws agree exactly while the flag is on.
-    EXPECT_EQ(sample_standard_normal(zig_rng),
-              sample_standard_normal_ziggurat(direct_rng));
-  }
-  // Exponential::sample dispatches too (consumes a different draw count).
-  util::Xoshiro256pp exp_rng(6);
-  const double zig_exp = Exponential(2.0).sample(exp_rng);
-  EXPECT_GE(zig_exp, 0.0);
-  set_ziggurat_sampling(false);
-
-  // Back to the reference path: bit-identical to the pre-toggle sequence.
-  util::Xoshiro256pp after(5);
-  for (const double want : reference) {
-    EXPECT_EQ(sample_standard_normal(after), want);
-  }
 }
 
 }  // namespace

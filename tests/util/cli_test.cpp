@@ -168,6 +168,30 @@ TEST(ArgParserTyped, NegativeCountFailsAtParseTime) {
   EXPECT_NE(make().help().find("<count = 100>"), std::string::npos);
 }
 
+TEST(ArgParserTyped, ValueOutsideItsDeclaredRangeFailsAtParseTime) {
+  auto make = [] {
+    ArgParser p("prog", "range parser");
+    p.add_count("--windows", 8, "a count", 2);
+    p.add_num("--effort", 1.0, "a number", {.lo = 0.0, .open = true});
+    p.add_num("--sigma", 0.0, "a number", {.lo = 0.0});
+    return p;
+  };
+  for (const auto& bad : std::vector<std::vector<const char*>>{
+           {"--windows", "1"},
+           {"--effort", "0"},
+           {"--effort", "-1"},
+           {"--effort", "nan"},
+           {"--sigma", "-1e-9"}}) {
+    auto p = make();
+    EXPECT_FALSE(parse(p, bad)) << bad[0] << " " << bad[1];
+  }
+  auto p = make();
+  ASSERT_TRUE(parse(p, {"--windows", "2", "--effort", "1e-3", "--sigma", "0"}));
+  EXPECT_EQ(p.count("--windows"), 2u);
+  EXPECT_DOUBLE_EQ(p.num("--effort"), 1e-3);
+  EXPECT_DOUBLE_EQ(p.num("--sigma"), 0.0);
+}
+
 TEST(ArgParserTyped, ChoiceOutsideItsListFailsAtParseTime) {
   auto make = [] {
     ArgParser p("prog", "choice parser");

@@ -6,7 +6,6 @@
 #include <cstdint>
 #include <numeric>
 #include <stdexcept>
-#include <string>
 #include <vector>
 
 namespace linkpad::util {
@@ -121,51 +120,6 @@ TEST(ParallelForChunks, HandlesZeroItems) {
                       [](std::size_t, std::size_t, std::size_t) {
                         FAIL() << "body must not run";
                       });
-}
-
-// ----------------------------------------------------------- tree_reduce
-
-TEST(TreeReduce, MatchesSerialLeftFoldForConcatenation) {
-  // Adjacent-pair merging keeps element order, so reducing strings by
-  // concatenation must reproduce the in-order join at every size — the
-  // property the population reduction's ordered chunk merges rely on.
-  for (std::size_t n = 1; n <= 9; ++n) {
-    std::vector<std::string> items;
-    std::string expected;
-    for (std::size_t i = 0; i < n; ++i) {
-      items.push_back(std::string(1, static_cast<char>('a' + i)));
-      expected += items.back();
-    }
-    const std::string reduced = tree_reduce(
-        std::move(items),
-        [](std::string& left, std::string& right) { left += right; });
-    EXPECT_EQ(reduced, expected) << n;
-  }
-}
-
-TEST(TreeReduce, FixedShapeIsDeterministic) {
-  // The merge ORDER (tree shape) is a pure function of the item count:
-  // tagging each merge must give the same trace on every run.
-  auto trace = [] {
-    std::vector<std::string> items = {"0", "1", "2", "3", "4"};
-    std::vector<std::string> log;
-    (void)tree_reduce(std::move(items),
-                      [&](std::string& left, std::string& right) {
-                        log.push_back(left + "+" + right);
-                        left += right;
-                      });
-    return log;
-  };
-  const auto first = trace();
-  EXPECT_EQ(first, trace());
-  // Five leaves: (0+1)(2+3) carry 4, then (01+23), then (0123+4).
-  const std::vector<std::string> expected = {"0+1", "2+3", "01+23", "0123+4"};
-  EXPECT_EQ(first, expected);
-}
-
-TEST(TreeReduce, RejectsEmptyInput) {
-  EXPECT_THROW(tree_reduce(std::vector<int>{}, [](int& a, int& b) { a += b; }),
-               linkpad::ContractViolation);
 }
 
 }  // namespace
