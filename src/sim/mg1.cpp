@@ -47,11 +47,14 @@ Mg1WaitSampler::Mg1WaitSampler(double rho, Seconds mean_service,
       break;
     }
   }
+  set_rho(rho);
 }
 
 void Mg1WaitSampler::set_rho(double rho) {
   LINKPAD_EXPECTS(rho >= 0.0 && rho < 1.0);
   rho_ = rho;
+  inv_log_rho_ = 1.0 / std::log(rho);  // -0 at ρ = 0, never read there
+  busy_mean_ = mean_service_ / (1.0 - rho);
 }
 
 double Mg1WaitSampler::mean_wait() const {

@@ -11,14 +11,22 @@
 //     V  =  Σ_{i=1}^{K} R_i,   K ~ Geometric(ρ)  (P[K = k] = (1−ρ)ρ^k),
 //     R_i i.i.d. equilibrium (residual) service times, f_R = (1−F_S)/E[S].
 //
-// For deterministic service S, R ~ Uniform(0, S]; for exponential, R ~ Exp.
-// This gives packet-accurate queueing noise at O(E[K]) = O(ρ/(1−ρ)) cost per
-// monitored packet, independent of the cross-traffic packet rate — the trick
-// that makes the 24-hour WAN figures tractable. Validated against the
-// packet-level Router in tests/sim/router_test.cpp.
+// K is drawn by inversion from one uniform u ∈ (0, 1]: K = ⌊ln u / ln ρ⌋.
+// K = 0 exactly when u > ρ, so an idle server (probability 1−ρ) costs one
+// uniform and no log. For deterministic service S, R ~ Uniform(0, S]; the
+// K residuals are summed as 53-bit integers and scaled once, so a busy draw
+// costs one log plus one raw 64-bit draw and one integer add per residual.
+// Exponential service (M/M/1) has a closed form, V = 0 w.p. 1−ρ else
+// Exp(E[S]/(1−ρ)), so it costs O(1) at any ρ. The trimodal mix draws K the
+// same way, then K size-biased residuals. The cost is independent of the
+// cross-traffic packet rate — the trick that makes the 24-hour WAN figures
+// tractable. Validated against the packet-level Router in
+// tests/sim/router_test.cpp and against the textbook rejection loop (KS) in
+// tests/sim/mg1_test.cpp.
 #pragma once
 
 #include <cmath>
+#include <cstdint>
 #include <vector>
 
 #include "stats/distributions.hpp"
@@ -41,18 +49,36 @@ class Mg1WaitSampler {
   Mg1WaitSampler(double rho, Seconds mean_service, ServiceModel model);
 
   /// One stationary waiting-time draw (0 with probability 1−ρ). Inline:
-  /// the geometric loop draws E[K] = ρ/(1−ρ) residuals per call — ~19 at
-  /// the population-clamped ρ = 0.95 — which makes this the single hottest
-  /// arithmetic in a population run; keeping it in the header lets the
-  /// whole draw chain (uniform01 included) flatten into the caller.
+  /// it is the single hottest arithmetic in a population run (one draw per
+  /// hop per monitored packet at up to the clamped ρ = 0.95), and keeping
+  /// it in the header lets the whole draw chain flatten into the caller.
   [[nodiscard]] Seconds sample(util::Rng& rng) const {
     if (rho_ <= 0.0) return 0.0;
-    // K ~ Geometric(rho): count failures until a U >= rho.
-    Seconds v = 0.0;
-    while (rng.uniform01() < rho_) {
-      v += sample_residual(rng);
+    const double u = 1.0 - rng.uniform01();  // (0, 1]
+    if (u > rho_) return 0.0;                // K = 0
+    if (model_ == ServiceModel::kExponential) {
+      // Given K >= 1, u/ρ is Uniform(0, 1] and the geometric sum of
+      // Exp(E[S]) residuals is Exp(E[S]/(1−ρ)).
+      return busy_mean_ * std::log(rho_ / u);
     }
-    return v;
+    std::uint64_t k = static_cast<std::uint64_t>(std::log(u) * inv_log_rho_);
+    if (model_ == ServiceModel::kTrimodal) {
+      Seconds v = 0.0;
+      for (; k > 0; --k) v += sample_trimodal_residual(rng);
+      return v;
+    }
+    // Deterministic: each residual is S·((r >> 11) + 1)·2⁻⁵³, Uniform(0, S]
+    // on the 53-bit grid. 2047 terms of at most 2⁵³ fit in 64 bits, so the
+    // integer sum is flushed into a double every kFlushTerms residuals.
+    double sum = 0.0;
+    while (k > 0) {
+      const std::uint64_t n = k < kFlushTerms ? k : kFlushTerms;
+      std::uint64_t acc = 0;
+      for (std::uint64_t i = 0; i < n; ++i) acc += (rng() >> 11) + 1;
+      sum += static_cast<double>(acc);
+      k -= n;
+    }
+    return mean_service_ * 0x1.0p-53 * sum;
   }
 
   /// Exact stationary mean waiting time E[V] = λE[S²]/(2(1−ρ)).
@@ -69,36 +95,29 @@ class Mg1WaitSampler {
   void set_rho(double rho);
 
  private:
-  /// One equilibrium residual service time draw. The trimodal branch uses
-  /// the component weights precomputed at construction (the exact same
-  /// values the old per-call recomputation produced), so a draw costs one
-  /// or two uniforms and a couple of multiplies under every model.
-  [[nodiscard]] Seconds sample_residual(util::Rng& rng) const {
-    switch (model_) {
-      case ServiceModel::kDeterministic:
-        // Residual of a constant S is Uniform(0, S].
-        return mean_service_ * (1.0 - rng.uniform01());
-      case ServiceModel::kExponential:
-        // Memoryless: residual is Exp(mean_service) again.
-        return -mean_service_ * std::log1p(-rng.uniform01());
-      case ServiceModel::kTrimodal: {
-        // Residual density (1−F)/E[S]: pick a component size-biased by its
-        // service time, then a uniform residual within it.
-        double u = rng.uniform01() * tri_total_;
-        int pick = 0;
-        for (; pick < 2; ++pick) {
-          if (u < tri_weight_[pick]) break;
-          u -= tri_weight_[pick];
-        }
-        return tri_service_[pick] * (1.0 - rng.uniform01());
-      }
+  /// Residuals per 64-bit integer partial sum of the deterministic path.
+  static constexpr std::uint64_t kFlushTerms = 2047;
+
+  /// One trimodal equilibrium residual: pick a component size-biased by its
+  /// service time (weights precomputed at construction), then a uniform
+  /// residual within it.
+  [[nodiscard]] Seconds sample_trimodal_residual(util::Rng& rng) const {
+    double u = rng.uniform01() * tri_total_;
+    int pick = 0;
+    for (; pick < 2; ++pick) {
+      if (u < tri_weight_[pick]) break;
+      u -= tri_weight_[pick];
     }
-    return 0.0;  // unreachable
+    return tri_service_[pick] * (1.0 - rng.uniform01());
   }
 
   double rho_;
   Seconds mean_service_;
   ServiceModel model_;
+  // Derived from rho_ by set_rho: 1/ln ρ for inverting K, and the M/M/1
+  // busy-period wait mean E[S]/(1−ρ).
+  double inv_log_rho_ = 0;
+  Seconds busy_mean_ = 0;
   // Raw service moments E[S], E[S²], E[S³] for the chosen model.
   double es1_ = 0, es2_ = 0, es3_ = 0;
   // Trimodal residual sampling state (per-component service time and

@@ -54,12 +54,12 @@ TEST(GoldenFigures, Fig6DetectionAtUtilizationHalf) {
 
   // At 50% shared-link utilization the cross traffic has washed most of
   // the leak out — the Fig 6 endpoint.
-  EXPECT_NEAR(fig.curve("sample variance").y.back(), 0.5267, kTol);
+  EXPECT_NEAR(fig.curve("sample variance").y.back(), 0.4800, kTol);
   EXPECT_NEAR(fig.curve("sample entropy").y.back(), 0.5867, kTol);
 
   // Low-utilization anchor: detection still near-certain at ρ = 0.05.
   ASSERT_EQ(fig.x.front(), 0.05);
-  EXPECT_NEAR(fig.curve("sample variance").y.front(), 0.9733, kTol);
+  EXPECT_NEAR(fig.curve("sample variance").y.front(), 0.9467, kTol);
   EXPECT_NEAR(fig.curve("sample entropy").y.front(), 0.9800, kTol);
 }
 

@@ -2,7 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
 #include <tuple>
+#include <vector>
 
 #include "stats/descriptive.hpp"
 #include "util/check.hpp"
@@ -20,14 +23,23 @@ TEST(Mg1WaitSampler, ZeroUtilizationNeverWaits) {
 }
 
 TEST(Mg1WaitSampler, IdleProbabilityIsOneMinusRho) {
-  Mg1WaitSampler s(0.3, 10e-6, ServiceModel::kDeterministic);
-  util::Rng rng(2);
-  int zero = 0;
   const int n = 200000;
-  for (int i = 0; i < n; ++i) {
-    if (s.sample(rng) == 0.0) ++zero;
+  for (double rho : {0.3, 0.95}) {
+    for (ServiceModel model :
+         {ServiceModel::kDeterministic, ServiceModel::kExponential,
+          ServiceModel::kTrimodal}) {
+      Mg1WaitSampler s(rho, 10e-6, model);
+      util::Rng rng(2);
+      int zero = 0;
+      for (int i = 0; i < n; ++i) {
+        if (s.sample(rng) == 0.0) ++zero;
+      }
+      // Five binomial standard errors.
+      EXPECT_NEAR(static_cast<double>(zero) / n, 1.0 - rho,
+                  5.0 * std::sqrt(rho * (1.0 - rho) / n))
+          << "rho " << rho << " model " << static_cast<int>(model);
+    }
   }
-  EXPECT_NEAR(static_cast<double>(zero) / n, 0.7, 0.01);
 }
 
 TEST(Mg1WaitSampler, MeanMatchesPollaczekKhinchineMD1) {
@@ -70,10 +82,113 @@ TEST_P(Mg1MomentSweep, SampleMomentsMatchClosedForms) {
 
 INSTANTIATE_TEST_SUITE_P(
     RhoAndService, Mg1MomentSweep,
-    ::testing::Combine(::testing::Values(0.1, 0.3, 0.5, 0.7),
+    ::testing::Combine(::testing::Values(0.1, 0.3, 0.5, 0.7, 0.9, 0.95),
                        ::testing::Values(ServiceModel::kDeterministic,
                                          ServiceModel::kExponential,
                                          ServiceModel::kTrimodal)));
+
+/// The textbook PK sampler the inversion path must reproduce in law: count
+/// K by rejection (one uniform per step, stop at the first U >= ρ) and add
+/// one equilibrium residual per step.
+double reference_wait(double rho, double service, ServiceModel model,
+                      util::Rng& rng) {
+  const double mb = TrimodalMix::mean_bytes();
+  double v = 0.0;
+  while (rng.uniform01() < rho) {
+    switch (model) {
+      case ServiceModel::kDeterministic:
+        v += service * (1.0 - rng.uniform01());
+        break;
+      case ServiceModel::kExponential:
+        v += -service * std::log1p(-rng.uniform01());
+        break;
+      case ServiceModel::kTrimodal: {
+        // Component size-biased by its service time, then uniform within.
+        double weight[3];
+        double total = 0.0;
+        for (int i = 0; i < 3; ++i) {
+          weight[i] = TrimodalMix::kProbs[i] * TrimodalMix::kSizes[i];
+          total += weight[i];
+        }
+        double u = rng.uniform01() * total;
+        int pick = 0;
+        for (; pick < 2 && u >= weight[pick]; ++pick) u -= weight[pick];
+        v += TrimodalMix::kSizes[pick] / mb * service *
+             (1.0 - rng.uniform01());
+        break;
+      }
+    }
+  }
+  return v;
+}
+
+/// Two-sample Kolmogorov–Smirnov statistic sup |F_a − F_b|. Ties (the atom
+/// at 0) are stepped over together, so D is evaluated only between
+/// distinct values.
+double ks_statistic(std::vector<double> a, std::vector<double> b) {
+  std::sort(a.begin(), a.end());
+  std::sort(b.begin(), b.end());
+  const double na = static_cast<double>(a.size());
+  const double nb = static_cast<double>(b.size());
+  std::size_t i = 0, j = 0;
+  double d = 0.0;
+  while (i < a.size() && j < b.size()) {
+    const double x = std::min(a[i], b[j]);
+    while (i < a.size() && a[i] == x) ++i;
+    while (j < b.size() && b[j] == x) ++j;
+    d = std::max(d, std::abs(static_cast<double>(i) / na -
+                             static_cast<double>(j) / nb));
+  }
+  return d;
+}
+
+class Mg1KsSweep
+    : public ::testing::TestWithParam<std::tuple<double, ServiceModel>> {};
+
+TEST_P(Mg1KsSweep, MatchesRejectionReferenceInLaw) {
+  const auto [rho, model] = GetParam();
+  const double service = 10e-6;
+  const std::size_t n = 200000;
+  Mg1WaitSampler s(rho, service, model);
+  util::Rng rng(7);
+  util::Rng ref_rng(8);
+  std::vector<double> fast(n), ref(n);
+  for (auto& v : fast) v = s.sample(rng);
+  for (auto& v : ref) v = reference_wait(rho, service, model, ref_rng);
+  // Asymptotic critical value at alpha = 0.001: c = sqrt(-ln(alpha/2)/2),
+  // conservative for the atom at 0.
+  const double alpha = 0.001;
+  const double crit = std::sqrt(-0.5 * std::log(alpha / 2.0)) *
+                      std::sqrt(2.0 / static_cast<double>(n));
+  EXPECT_LT(ks_statistic(fast, ref), crit);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    RhoAndService, Mg1KsSweep,
+    ::testing::Combine(::testing::Values(0.1, 0.5, 0.95),
+                       ::testing::Values(ServiceModel::kDeterministic,
+                                         ServiceModel::kExponential,
+                                         ServiceModel::kTrimodal)));
+
+TEST(Mg1WaitSampler, NearSaturationDrawsCrossTheIntegerFlush) {
+  // At ρ = 0.999, E[K] = 999 and P[K > 2047] ≈ 13%, so the deterministic
+  // path's 64-bit partial sums are flushed within many draws. A wait above
+  // 2047·S needs K > 2047 (every residual is at most S).
+  const double service = 10e-6;
+  Mg1WaitSampler s(0.999, service, ServiceModel::kDeterministic);
+  util::Rng rng(9);
+  stats::RunningStats rs;
+  int crossed = 0;
+  const int n = 100000;
+  for (int i = 0; i < n; ++i) {
+    const double v = s.sample(rng);
+    rs.add(v);
+    if (v > 2047.0 * service) ++crossed;
+  }
+  EXPECT_GT(crossed, 500);
+  EXPECT_NEAR(rs.mean(), s.mean_wait(), 0.02 * s.mean_wait());
+  EXPECT_NEAR(rs.variance(), s.wait_variance(), 0.05 * s.wait_variance());
+}
 
 TEST(Mg1WaitSampler, VarianceIncreasesWithRho) {
   const double service = 10e-6;
