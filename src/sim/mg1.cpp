@@ -53,7 +53,6 @@ Mg1WaitSampler::Mg1WaitSampler(double rho, Seconds mean_service,
 void Mg1WaitSampler::set_rho(double rho) {
   LINKPAD_EXPECTS(rho >= 0.0 && rho < 1.0);
   rho_ = rho;
-  inv_log_rho_ = 1.0 / std::log(rho);  // -0 at ρ = 0, never read there
   busy_mean_ = mean_service_ / (1.0 - rho);
 }
 

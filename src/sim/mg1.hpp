@@ -11,14 +11,16 @@
 //     V  =  Σ_{i=1}^{K} R_i,   K ~ Geometric(ρ)  (P[K = k] = (1−ρ)ρ^k),
 //     R_i i.i.d. equilibrium (residual) service times, f_R = (1−F_S)/E[S].
 //
-// K is drawn by inversion from one uniform u ∈ (0, 1]: K = ⌊ln u / ln ρ⌋.
-// K = 0 exactly when u > ρ, so an idle server (probability 1−ρ) costs one
-// uniform and no log. For deterministic service S, R ~ Uniform(0, S]; the
-// K residuals are summed as 53-bit integers and scaled once, so a busy draw
-// costs one log plus one raw 64-bit draw and one integer add per residual.
+// K is drawn by inversion from one uniform u ∈ (0, 1]: K = ⌊ln u / ln ρ⌋,
+// the number of powers ρ, ρ², … that are still >= u. `sample` walks those
+// powers and adds one residual per step, so it takes no log: an idle server
+// (u > ρ, probability 1−ρ) costs one uniform, and a busy one adds one
+// residual draw and one multiply per step, E[K] = ρ/(1−ρ) steps in all —
+// one uniform per step fewer than the rejection loop, which spends a test
+// uniform per step. For deterministic service S, R ~ Uniform(0, S]; the trimodal mix
+// picks a size-biased component, then a uniform residual within it.
 // Exponential service (M/M/1) has a closed form, V = 0 w.p. 1−ρ else
-// Exp(E[S]/(1−ρ)), so it costs O(1) at any ρ. The trimodal mix draws K the
-// same way, then K size-biased residuals. The cost is independent of the
+// Exp(E[S]/(1−ρ)), so it costs O(1) at any ρ. The cost is independent of the
 // cross-traffic packet rate — the trick that makes the 24-hour WAN figures
 // tractable. Validated against the packet-level Router in
 // tests/sim/router_test.cpp and against the textbook rejection loop (KS) in
@@ -26,7 +28,6 @@
 #pragma once
 
 #include <cmath>
-#include <cstdint>
 #include <vector>
 
 #include "stats/distributions.hpp"
@@ -61,24 +62,10 @@ class Mg1WaitSampler {
       // Exp(E[S]) residuals is Exp(E[S]/(1−ρ)).
       return busy_mean_ * std::log(rho_ / u);
     }
-    std::uint64_t k = static_cast<std::uint64_t>(std::log(u) * inv_log_rho_);
-    if (model_ == ServiceModel::kTrimodal) {
-      Seconds v = 0.0;
-      for (; k > 0; --k) v += sample_trimodal_residual(rng);
-      return v;
-    }
-    // Deterministic: each residual is S·((r >> 11) + 1)·2⁻⁵³, Uniform(0, S]
-    // on the 53-bit grid. 2047 terms of at most 2⁵³ fit in 64 bits, so the
-    // integer sum is flushed into a double every kFlushTerms residuals.
-    double sum = 0.0;
-    while (k > 0) {
-      const std::uint64_t n = k < kFlushTerms ? k : kFlushTerms;
-      std::uint64_t acc = 0;
-      for (std::uint64_t i = 0; i < n; ++i) acc += (rng() >> 11) + 1;
-      sum += static_cast<double>(acc);
-      k -= n;
-    }
-    return mean_service_ * 0x1.0p-53 * sum;
+    // K = #{k >= 1 : u <= ρ^k}: one residual per power of ρ still >= u.
+    Seconds v = 0.0;
+    for (double p = rho_; u <= p; p *= rho_) v += sample_residual(rng);
+    return v;
   }
 
   /// Exact stationary mean waiting time E[V] = λE[S²]/(2(1−ρ)).
@@ -95,13 +82,15 @@ class Mg1WaitSampler {
   void set_rho(double rho);
 
  private:
-  /// Residuals per 64-bit integer partial sum of the deterministic path.
-  static constexpr std::uint64_t kFlushTerms = 2047;
-
-  /// One trimodal equilibrium residual: pick a component size-biased by its
+  /// One equilibrium residual service time draw. Deterministic service S
+  /// has residual Uniform(0, S], here S·(j + 1)·2⁻⁵³ for the 53-bit j of
+  /// uniform01; the trimodal mix picks a component size-biased by its
   /// service time (weights precomputed at construction), then a uniform
   /// residual within it.
-  [[nodiscard]] Seconds sample_trimodal_residual(util::Rng& rng) const {
+  [[nodiscard]] Seconds sample_residual(util::Rng& rng) const {
+    if (model_ == ServiceModel::kDeterministic) {
+      return mean_service_ * (rng.uniform01() + 0x1.0p-53);
+    }
     double u = rng.uniform01() * tri_total_;
     int pick = 0;
     for (; pick < 2; ++pick) {
@@ -114,9 +103,8 @@ class Mg1WaitSampler {
   double rho_;
   Seconds mean_service_;
   ServiceModel model_;
-  // Derived from rho_ by set_rho: 1/ln ρ for inverting K, and the M/M/1
-  // busy-period wait mean E[S]/(1−ρ).
-  double inv_log_rho_ = 0;
+  // The M/M/1 busy-server wait mean E[S]/(1−ρ), derived from rho_ by
+  // set_rho.
   Seconds busy_mean_ = 0;
   // Raw service moments E[S], E[S²], E[S³] for the chosen model.
   double es1_ = 0, es2_ = 0, es3_ = 0;

@@ -170,10 +170,11 @@ INSTANTIATE_TEST_SUITE_P(
                                          ServiceModel::kExponential,
                                          ServiceModel::kTrimodal)));
 
-TEST(Mg1WaitSampler, NearSaturationDrawsCrossTheIntegerFlush) {
-  // At ρ = 0.999, E[K] = 999 and P[K > 2047] ≈ 13%, so the deterministic
-  // path's 64-bit partial sums are flushed within many draws. A wait above
-  // 2047·S needs K > 2047 (every residual is at most S).
+TEST(Mg1WaitSampler, NearSaturationLongWalksMatchClosedForms) {
+  // At ρ = 0.999, E[K] = 999 and P[K > 2047] ≈ 13%, so many draws walk the
+  // powers of ρ through thousands of multiplies, each adding a rounding
+  // error to ρ^k. A wait above 2047·S needs K > 2047 (every residual is at
+  // most S).
   const double service = 10e-6;
   Mg1WaitSampler s(0.999, service, ServiceModel::kDeterministic);
   util::Rng rng(9);
