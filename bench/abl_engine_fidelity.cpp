@@ -3,6 +3,9 @@
 // experiment on both engines and compares PIAT moments, measured variance
 // ratio and the entropy-adversary detection rate — plus the event-count
 // ratio that justifies using the analytic engine for the day-long figures.
+// The analytic engine spends one event per timer fire and one per payload
+// arrival (wire packets ride the fire that releases them); the packet-level
+// engine adds one per wire-packet delivery, router service and cross packet.
 #include <cmath>
 #include <iostream>
 #include <string>

@@ -84,13 +84,6 @@ void PaddingGateway::on_timer(Seconds /*now*/) {
   feedback.queue_depth = queue_.size();
 
   const Seconds emit_time = sim_.now() + delay;
-  if (emit) {
-    wire.id = next_wire_id_++;
-    sim_.schedule_at(emit_time, [this, wire, emit_time]() mutable {
-      wire.emitted = emit_time;
-      downstream_.on_packet(wire, emit_time);
-    });
-  }
 
   // Absolute (drift-free) scheduling of the next designed interrupt; the
   // policy sees the post-emission link state before the draw.
@@ -100,6 +93,17 @@ void PaddingGateway::on_timer(Seconds /*now*/) {
   // hardware; the kernel coalesces. Model: push the schedule if needed.
   if (next_designed_fire_ <= emit_time) next_designed_fire_ = emit_time + 1e-9;
   sim_.schedule_timer_at(next_designed_fire_, *this);
+
+  // Hand the packet downstream now, stamped with its emission time (the
+  // PacketSink contract): no event is spent on it. The next fire lies after
+  // emit_time, so with CBR payload no RNG draw falls between the fire and
+  // the emission: the downstream draws come in the same order as they
+  // would from an event at emit_time.
+  if (emit) {
+    wire.id = next_wire_id_++;
+    wire.emitted = emit_time;
+    downstream_.on_packet(wire, emit_time);
+  }
 }
 
 }  // namespace linkpad::sim

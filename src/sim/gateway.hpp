@@ -49,6 +49,8 @@ struct GatewayStats {
 
 /// Sender-side padding gateway. The interrupt timer rides the scheduler's
 /// TimerTask fast path: one pending heap entry per designed fire, no closure.
+/// Each fire hands its wire packet to `downstream` before returning, stamped
+/// with the emission time S_k + δ_k (see PacketSink): one event per fire.
 class PaddingGateway final : public PacketSink, public TimerTask {
  public:
   /// `queue_capacity` bounds the payload queue (packets beyond it drop, as a

@@ -36,6 +36,16 @@ struct Packet {
 };
 
 /// Anything that accepts packets at a simulated time.
+///
+/// `now` is the packet's arrival time at the sink. It may lie AHEAD of
+/// `Simulation::now()`: the padding gateway hands each wire packet on from
+/// the timer fire that releases it, stamped with its emission time, rather
+/// than spending an event to wait for that instant. A sink that only
+/// computes from `now` (the analytic hop path, a sniffer) may take packets
+/// this way; a sink that reads the simulation clock or schedules relative
+/// to it (a packet-level `Router`) must be fed through a
+/// `ScheduledDelivery` (sim/packet_path.hpp), which delivers each packet
+/// at its time.
 class PacketSink {
  public:
   virtual ~PacketSink() = default;

@@ -7,6 +7,12 @@
 // detection rates. Use this engine directly when studying effects the
 // analytic channel excludes by construction (cross-traffic burstiness,
 // inter-hop correlation, padded-stream self-queueing).
+//
+// The gateway hands wire packets on from its timer fire, ahead of their
+// emission time (see PacketSink). Routers read the simulation clock, so
+// this engine feeds its first hop through a ScheduledDelivery: each wire
+// packet becomes one event at its emission time. With no hops the two
+// engines produce bit-identical PIATs.
 #pragma once
 
 #include <memory>
@@ -21,6 +27,27 @@
 #include "util/rng.hpp"
 
 namespace linkpad::sim {
+
+/// Sink adapter that turns a packet handed on ahead of its time into an
+/// event at that time: each packet reaches `next` from a `schedule_at(now)`
+/// closure, so `next` may read `Simulation::now()` (see PacketSink).
+class ScheduledDelivery final : public PacketSink {
+ public:
+  ScheduledDelivery(Simulation& sim, PacketSink& next)
+      : sim_(sim), next_(next) {}
+  // Pending closures hold `this`.
+  ScheduledDelivery(const ScheduledDelivery&) = delete;
+  ScheduledDelivery& operator=(const ScheduledDelivery&) = delete;
+
+  void on_packet(const Packet& packet, Seconds now) override {
+    sim_.schedule_at(now,
+                     [this, packet, now] { next_.on_packet(packet, now); });
+  }
+
+ private:
+  Simulation& sim_;
+  PacketSink& next_;
+};
 
 /// Packet-level counterpart of sim::Testbed; accepts the same config.
 /// Each HopConfig becomes a Router entity with its own Poisson
@@ -52,6 +79,7 @@ class PacketLevelTestbed {
   // Entities owned in wiring order; routers_[0] is nearest the gateway.
   std::vector<std::unique_ptr<Router>> routers_;
   std::vector<std::unique_ptr<CrossTrafficProcess>> cross_;
+  std::unique_ptr<ScheduledDelivery> delivery_;  ///< gateway -> first hop
   std::unique_ptr<PaddingGateway> gateway_;
   std::unique_ptr<TrafficSource> source_;
   bool started_ = false;

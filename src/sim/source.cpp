@@ -76,79 +76,4 @@ std::string PoissonSource::name() const {
   return out.str();
 }
 
-// ------------------------------------------------------------ OnOffSource
-
-OnOffSource::OnOffSource(PacketsPerSecond on_rate, Seconds mean_on,
-                         Seconds mean_off, int packet_bytes)
-    : on_rate_(on_rate), mean_on_(mean_on), mean_off_(mean_off),
-      packet_bytes_(packet_bytes) {
-  LINKPAD_EXPECTS(on_rate > 0.0);
-  LINKPAD_EXPECTS(mean_on > 0.0);
-  LINKPAD_EXPECTS(mean_off > 0.0);
-}
-
-PacketsPerSecond OnOffSource::mean_rate() const {
-  return on_rate_ * mean_on_ / (mean_on_ + mean_off_);
-}
-
-void OnOffSource::start(Simulation& sim, PacketSink& sink, util::Rng& rng) {
-  sim_ = &sim;
-  sink_ = &sink;
-  rng_ = &rng;
-  on_ = true;
-  state_ends_ = sim.now() + stats::Exponential(mean_on_).sample(rng);
-  schedule_next();
-}
-
-void OnOffSource::schedule_next() {
-  // Advance through OFF periods until the next emission instant.
-  Seconds t = sim_->now();
-  for (;;) {
-    if (on_) {
-      const Seconds gap = stats::Exponential(1.0 / on_rate_).sample(*rng_);
-      if (t + gap <= state_ends_) {
-        t += gap;
-        break;
-      }
-      t = state_ends_;
-      on_ = false;
-      state_ends_ = t + stats::Exponential(mean_off_).sample(*rng_);
-    } else {
-      t = state_ends_;
-      on_ = true;
-      state_ends_ = t + stats::Exponential(mean_on_).sample(*rng_);
-    }
-  }
-  sim_->schedule_timer_at(t, *this);
-}
-
-void OnOffSource::on_timer(Seconds now) {
-  Packet p;
-  p.id = next_id_++;
-  p.kind = PacketKind::kPayload;
-  p.flow = FlowId::kMonitored;
-  p.size_bytes = packet_bytes_;
-  p.created = now;
-  sink_->on_packet(p, now);
-  schedule_next();
-}
-
-std::string OnOffSource::name() const {
-  std::ostringstream out;
-  out << "OnOff(on=" << on_rate_ << "pps, duty="
-      << mean_on_ / (mean_on_ + mean_off_) << ")";
-  return out.str();
-}
-
-// ---------------------------------------------------------------- helpers
-
-std::unique_ptr<TrafficSource> make_cbr(PacketsPerSecond rate, int packet_bytes) {
-  return std::make_unique<CbrSource>(rate, packet_bytes);
-}
-
-std::unique_ptr<TrafficSource> make_poisson(PacketsPerSecond rate,
-                                            int packet_bytes) {
-  return std::make_unique<PoissonSource>(rate, packet_bytes);
-}
-
 }  // namespace linkpad::sim

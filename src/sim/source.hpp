@@ -1,17 +1,15 @@
 // Traffic sources feeding the sender gateway.
 //
 // The paper's payload has "two rate states: 10 pps and 40 pps"; we default to
-// CBR (constant bit rate) like their traffic generator, and also provide
-// Poisson and Markov-modulated ON/OFF sources for robustness studies —
-// Theorems 1–3 only depend on the payload through the arrival counts per
-// timer interval, so the detection-rate shape should survive a change of
-// payload process (tested in the ablations).
+// CBR (constant bit rate) like their traffic generator, and also provide a
+// Poisson source for robustness checks — Theorems 1–3 only depend on the
+// payload through the arrival counts per timer interval, so the
+// detection-rate shape should survive a change of payload process.
 //
 // Sources are periodic entities, so they ride the scheduler's TimerTask
 // fast path: one pending timer entry per source, no closure per packet.
 #pragma once
 
-#include <memory>
 #include <string>
 
 #include "sim/packet.hpp"
@@ -77,36 +75,5 @@ class PoissonSource final : public TrafficSource, public TimerTask {
   PacketSink* sink_ = nullptr;
   util::Rng* rng_ = nullptr;
 };
-
-/// Two-state ON/OFF source: Poisson bursts at `on_rate` during exponential
-/// ON periods, silence during exponential OFF periods.
-class OnOffSource final : public TrafficSource, public TimerTask {
- public:
-  OnOffSource(PacketsPerSecond on_rate, Seconds mean_on, Seconds mean_off,
-              int packet_bytes);
-
-  void start(Simulation& sim, PacketSink& sink, util::Rng& rng) override;
-  void on_timer(Seconds now) override;
-  [[nodiscard]] PacketsPerSecond mean_rate() const override;
-  [[nodiscard]] std::string name() const override;
-
- private:
-  void schedule_next();
-
-  PacketsPerSecond on_rate_;
-  Seconds mean_on_;
-  Seconds mean_off_;
-  int packet_bytes_;
-  bool on_ = false;
-  Seconds state_ends_ = 0;
-  PacketId next_id_ = 0;
-  Simulation* sim_ = nullptr;
-  PacketSink* sink_ = nullptr;
-  util::Rng* rng_ = nullptr;
-};
-
-/// Factory helpers used by scenario presets.
-std::unique_ptr<TrafficSource> make_cbr(PacketsPerSecond rate, int packet_bytes);
-std::unique_ptr<TrafficSource> make_poisson(PacketsPerSecond rate, int packet_bytes);
 
 }  // namespace linkpad::sim

@@ -8,7 +8,13 @@ namespace linkpad::sim {
 
 void Testbed::TapAdapter::on_packet(const Packet& packet, Seconds now) {
   if (packet.flow != FlowId::kMonitored) return;
+  last_emitted_ = now;
   out_.push_back(path_.traverse(now, rng_));
+}
+
+std::size_t Testbed::emitted_arrivals() const {
+  const bool in_flight = tap_->last_emitted() > sim_.now();
+  return tap_arrivals_.size() - (in_flight ? 1 : 0);
 }
 
 Testbed::Testbed(const TestbedConfig& config, util::Rng& rng)
@@ -23,21 +29,16 @@ Testbed::Testbed(const TestbedConfig& config, util::Rng& rng)
       sim_, config.policy->clone(), config.jitter, rng_, *tap_,
       config.wire_bytes);
 
-  switch (config.payload_kind) {
-    case PayloadKind::kCbr:
-      source_ = std::make_unique<CbrSource>(config.payload_rate,
-                                            config.payload_bytes);
-      break;
-    case PayloadKind::kPoisson:
-      source_ = std::make_unique<PoissonSource>(config.payload_rate,
-                                                config.payload_bytes);
-      break;
-    case PayloadKind::kOnOff:
-      // 50% duty cycle bursts at twice the mean rate, 1 s mean period.
-      source_ = std::make_unique<OnOffSource>(2.0 * config.payload_rate, 0.5,
-                                              0.5, config.payload_bytes);
-      break;
+  source_ = make_payload_source(config);
+}
+
+std::unique_ptr<TrafficSource> make_payload_source(
+    const TestbedConfig& config) {
+  if (config.payload_kind == PayloadKind::kPoisson) {
+    return std::make_unique<PoissonSource>(config.payload_rate,
+                                           config.payload_bytes);
   }
+  return std::make_unique<CbrSource>(config.payload_rate, config.payload_bytes);
 }
 
 std::vector<Seconds> Testbed::collect_piats(std::size_t count) {
@@ -61,10 +62,14 @@ std::size_t Testbed::collect_piats(std::size_t count, std::vector<Seconds>& out)
   const std::size_t target = cursor_ + count;  // need arrivals [0, target)
 
   // Run in slabs of simulated time until enough packets crossed the tap.
+  // Only packets already emitted count: a capture then ends at the first
+  // slab by which its last packet left GW1, not merely fired, so the
+  // gateway counters and elapsed time it leaves behind (measured_wire_bps,
+  // overhead accounting) do not hinge on a packet still in flight.
   const Seconds slab =
       static_cast<Seconds>(count + config_.warmup_piats + 2) *
       config_.policy->mean_interval();
-  while (tap_arrivals_.size() < target) {
+  while (emitted_arrivals() < target) {
     sim_.run_until(sim_.now() + slab);
     LINKPAD_ENSURES(!sim_.empty());  // sources reschedule forever
   }

@@ -24,7 +24,7 @@
 namespace linkpad::sim {
 
 /// Payload traffic process selection.
-enum class PayloadKind { kCbr, kPoisson, kOnOff };
+enum class PayloadKind { kCbr, kPoisson };
 
 /// Full configuration of one testbed run.
 struct TestbedConfig {
@@ -84,11 +84,21 @@ class Testbed {
         : path_(path), rng_(rng), out_(out) {}
     void on_packet(const Packet& packet, Seconds now) override;
 
+    /// Emission time of the last packet received (0 before the first).
+    [[nodiscard]] Seconds last_emitted() const { return last_emitted_; }
+
    private:
     PathModel& path_;
     util::Rng& rng_;
     std::vector<Seconds>& out_;
+    Seconds last_emitted_ = 0;
   };
+
+  /// Tap arrivals of packets already emitted by the current sim time. The
+  /// gateway hands a packet on from its timer fire, ahead of its emission;
+  /// the next fire lies after that emission, so only the newest arrival can
+  /// still be in flight.
+  [[nodiscard]] std::size_t emitted_arrivals() const;
 
   TestbedConfig config_;
   util::Rng& rng_;
@@ -101,6 +111,11 @@ class Testbed {
   bool started_ = false;
   std::size_t cursor_ = 0;  ///< index of the next tap arrival to diff against
 };
+
+/// The payload source `config` names (kind, rate, packet size); both
+/// engines build their source here.
+[[nodiscard]] std::unique_ptr<TrafficSource> make_payload_source(
+    const TestbedConfig& config);
 
 /// Convenience one-shot: build a Testbed and collect `count` PIATs.
 std::vector<Seconds> collect_piats(const TestbedConfig& config,

@@ -66,6 +66,33 @@ TEST(PacketLevelTestbed, CrossTrafficIncreasesVariance) {
   EXPECT_NEAR(stats::mean(b), stats::mean(q), 2e-5);
 }
 
+// With no hops the two engines are the same program: the packet-level
+// engine's scheduled delivery changes when the sniffer sees a packet, never
+// the time stamped on it or the order of any RNG draw.
+TEST(PacketLevelTestbed, ZeroHopPiatsAreBitIdenticalToTheAnalyticEngine) {
+  const auto same_piats = [](std::shared_ptr<const TimerPolicy> policy,
+                             double payload_rate, std::uint64_t seed) {
+    TestbedConfig cfg;
+    cfg.policy = std::move(policy);
+    cfg.payload_rate = payload_rate;
+    util::Xoshiro256pp rng_a(seed), rng_p(seed);
+    Testbed analytic(cfg, rng_a);
+    PacketLevelTestbed packet(cfg, rng_p);
+    EXPECT_EQ(analytic.collect_piats(3000), packet.collect_piats(3000))
+        << cfg.policy->name() << " at " << payload_rate << " pps, seed "
+        << seed;
+  };
+  const auto cit = std::make_shared<ConstantIntervalTimer>(10e-3);
+  for (double rate : {10.0, 40.0}) {
+    for (std::uint64_t seed : {1, 2, 3}) same_piats(cit, rate, seed);
+  }
+  same_piats(std::make_shared<NormalIntervalTimer>(10e-3, 500e-6), 40.0, 4);
+  same_piats(std::make_shared<AdaptiveGapTimer>(10e-3, 0.5, 2e-3), 40.0, 5);
+  same_piats(std::make_shared<OnOffTimer>(
+                 std::make_unique<ConstantIntervalTimer>(10e-3), 50e-3),
+             10.0, 6);
+}
+
 // --- the fidelity contract between the two engines ---
 
 class EngineFidelity : public ::testing::TestWithParam<double> {};

@@ -5,6 +5,7 @@
 #include <vector>
 
 #include "sim/scheduler.hpp"
+#include "sim/testbed.hpp"
 #include "stats/descriptive.hpp"
 #include "util/rng.hpp"
 
@@ -88,38 +89,17 @@ TEST(PoissonSource, InterArrivalsAreExponential) {
   EXPECT_NEAR(stats::sample_stddev(gaps), 0.01, 7e-4);
 }
 
-TEST(OnOffSource, MeanRateMatchesDutyCycle) {
-  Simulation sim;
-  util::Xoshiro256pp rng(6);
-  OnOffSource src(80.0, 0.5, 0.5, 512);
-  EXPECT_DOUBLE_EQ(src.mean_rate(), 40.0);
-  Collector sink;
-  src.start(sim, sink, rng);
-  sim.run_until(400.0);
-  const double rate = static_cast<double>(sink.times.size()) / 400.0;
-  EXPECT_NEAR(rate, 40.0, 5.0);  // bursty source: rate std over 400 s is ~2
-}
-
-TEST(OnOffSource, ProducesBursts) {
-  Simulation sim;
-  util::Xoshiro256pp rng(7);
-  OnOffSource src(200.0, 0.2, 0.8, 512);
-  Collector sink;
-  src.start(sim, sink, rng);
-  sim.run_until(100.0);
-  // Burstiness: inter-arrival variance far above Poisson at the same mean.
-  std::vector<double> gaps;
-  for (std::size_t i = 1; i < sink.times.size(); ++i) {
-    gaps.push_back(sink.times[i] - sink.times[i - 1]);
-  }
-  const double mean_gap = stats::mean(gaps);
-  const double cv2 = stats::sample_variance(gaps) / (mean_gap * mean_gap);
-  EXPECT_GT(cv2, 2.0);  // Poisson would give ~1
-}
-
 TEST(Sources, FactoriesProduceCorrectRates) {
-  EXPECT_DOUBLE_EQ(make_cbr(10.0, 512)->mean_rate(), 10.0);
-  EXPECT_DOUBLE_EQ(make_poisson(40.0, 512)->mean_rate(), 40.0);
+  TestbedConfig cfg;
+  cfg.payload_rate = 10.0;
+  const auto cbr = make_payload_source(cfg);
+  EXPECT_DOUBLE_EQ(cbr->mean_rate(), 10.0);
+  EXPECT_NE(dynamic_cast<CbrSource*>(cbr.get()), nullptr);
+  cfg.payload_kind = PayloadKind::kPoisson;
+  cfg.payload_rate = 40.0;
+  const auto poisson = make_payload_source(cfg);
+  EXPECT_DOUBLE_EQ(poisson->mean_rate(), 40.0);
+  EXPECT_NE(dynamic_cast<PoissonSource*>(poisson.get()), nullptr);
 }
 
 }  // namespace

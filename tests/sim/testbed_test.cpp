@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <vector>
 
 #include "stats/descriptive.hpp"
 #include "util/check.hpp"
@@ -106,6 +107,32 @@ TEST(Testbed, GatewayStatsAccessible) {
   EXPECT_GT(gs.timer_fires, 1000u);
   EXPECT_GT(gs.payload_out, 0u);
   EXPECT_GT(gs.dummy_out, 0u);
+}
+
+// The analytic engine spends exactly one event per timer fire and one per
+// payload arrival: wire packets ride the gateway fire that releases them and
+// the analytic hop adds none. A per-packet event coming back breaks this.
+TEST(Testbed, EventsAreTimerFiresPlusPayloadArrivals) {
+  const std::vector<std::shared_ptr<const TimerPolicy>> policies = {
+      std::make_shared<ConstantIntervalTimer>(10e-3),
+      std::make_shared<NormalIntervalTimer>(10e-3, 500e-6)};
+  HopConfig hop;
+  hop.cross_utilization = 0.3;
+  for (const auto& policy : policies) {
+    for (double rate : {10.0, 40.0}) {
+      auto cfg = base_config();
+      cfg.policy = policy;
+      cfg.payload_rate = rate;
+      cfg.hops_before_tap = {hop};
+      util::Xoshiro256pp rng(21);
+      Testbed bed(cfg, rng);
+      (void)bed.collect_piats(2000);
+      const auto& gs = bed.gateway_stats();
+      EXPECT_EQ(bed.simulation().events_processed(),
+                gs.timer_fires + gs.payload_in)
+          << policy->name() << " at " << rate << " pps";
+    }
+  }
 }
 
 TEST(Testbed, MissingPolicyRejected) {
