@@ -543,8 +543,7 @@ int main(int argc, char** argv) {
   double mg1_clamp_rate = 0.0;
   {
     const auto bench_mg1 = [&](const std::string& name, double rho) {
-      sim::Mg1WaitSampler sampler(rho, 12e-6,
-                                  sim::ServiceModel::kDeterministic);
+      sim::Mg1WaitSampler sampler(rho, 12e-6);
       util::Rng rng(5);
       results.push_back(run_bench(name, "samples", min_time, [&] {
         double acc = 0.0;

@@ -2,7 +2,7 @@
 """Perf-trajectory regression gate for micro_perf JSON records.
 
 Compares a fresh `micro_perf --json --smoke` record against the committed
-baseline (BENCH_pr8.json) and fails when any throughput metric dropped by
+baseline (BENCH_pr10.json) and fails when any throughput metric dropped by
 more than the threshold (default 25%). Metrics compared:
 
   * every `benchmarks[].items_per_sec`, keyed by benchmark name;
@@ -36,7 +36,7 @@ builds breach the budget, recommit a fresh floor (and/or raise
 --threshold in ci.yml via PERF_GATE_THRESHOLD); do not delete the gate.
 
 Usage:
-  perf_gate.py --baseline BENCH_pr8.json --current BENCH_<tag>.json \
+  perf_gate.py --baseline BENCH_pr10.json --current BENCH_<tag>.json \
                [--threshold 0.25] [--floors perf_floors.json] \
                [--report perf_gate_report.md]
   perf_gate.py --self-test   # gate the gate: synthetic-record unit checks
@@ -269,7 +269,7 @@ def self_test() -> int:
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--baseline",
-                        help="committed baseline record (BENCH_pr8.json)")
+                        help="committed baseline record (BENCH_pr10.json)")
     parser.add_argument("--current",
                         help="fresh micro_perf --json --smoke record")
     parser.add_argument("--threshold", type=float, default=0.25,

@@ -37,9 +37,7 @@ class SimPiatSource final : public PiatSource {
     }
     if (gs.queueing_delay.count() > 0) {
       oh.delay_mean = gs.queueing_delay.mean();
-      oh.delay_p50 = gs.delay_p50.value();
       oh.delay_p95 = gs.delay_p95.value();
-      oh.delay_p99 = gs.delay_p99.value();
     }
     return oh;
   }

@@ -36,9 +36,7 @@ struct StreamOverhead {
   double padding_bps = 0.0;           ///< dummy share of wire_bps
   double dummy_fraction = 0.0;        ///< dummies / wire packets
   Seconds delay_mean = 0.0;           ///< payload queueing delay in GW1
-  Seconds delay_p50 = 0.0;            ///< P² percentiles of that delay
-  Seconds delay_p95 = 0.0;
-  Seconds delay_p99 = 0.0;
+  Seconds delay_p95 = 0.0;            ///< P² 95th percentile of that delay
 };
 
 /// Pull-based stream of padded inter-arrival times at the adversary's tap.

@@ -43,7 +43,6 @@ namespace {
 sim::TestbedConfig base_config(std::shared_ptr<const sim::TimerPolicy> policy) {
   sim::TestbedConfig cfg;
   cfg.policy = std::move(policy);
-  cfg.payload_kind = sim::PayloadKind::kCbr;
   cfg.payload_bytes = 512;
   cfg.wire_bytes = constants::kWireBytes;
   // TimeSys Linux/RT gateway host: calibrated in DESIGN.md so that the
@@ -64,7 +63,6 @@ sim::HopConfig marconi_hop(double utilization) {
   hop.bandwidth_bps = 500e6;
   hop.cross_utilization = utilization;
   hop.cross_packet_bytes = 1500;
-  hop.service_model = sim::ServiceModel::kDeterministic;
   hop.propagation_delay = 20e-6;
   return hop;
 }
@@ -126,7 +124,6 @@ Scenario campus(std::shared_ptr<const sim::TimerPolicy> policy, double hour) {
     hop.bandwidth_bps = 1e9;
     hop.cross_utilization = rho;
     hop.cross_packet_bytes = 800;
-    hop.service_model = sim::ServiceModel::kDeterministic;
     hop.propagation_delay = 50e-6;
     s.base.hops_before_tap.push_back(hop);
   }
@@ -147,7 +144,6 @@ Scenario wan(std::shared_ptr<const sim::TimerPolicy> policy, double hour) {
   edge.bandwidth_bps = 1e9;
   edge.cross_utilization = rho * 0.5;
   edge.cross_packet_bytes = 800;
-  edge.service_model = sim::ServiceModel::kDeterministic;
   edge.propagation_delay = 100e-6;
   s.base.hops_before_tap.push_back(edge);
 
@@ -158,7 +154,6 @@ Scenario wan(std::shared_ptr<const sim::TimerPolicy> policy, double hour) {
   peering.bandwidth_bps = 250e6;
   peering.cross_utilization = rho;
   peering.cross_packet_bytes = 1000;
-  peering.service_model = sim::ServiceModel::kDeterministic;
   peering.propagation_delay = 2e-3;
   s.base.hops_before_tap.push_back(peering);
 
@@ -169,7 +164,6 @@ Scenario wan(std::shared_ptr<const sim::TimerPolicy> policy, double hour) {
     hop.bandwidth_bps = 10e9;
     hop.cross_utilization = rho * 0.6;
     hop.cross_packet_bytes = 1000;
-    hop.service_model = sim::ServiceModel::kDeterministic;
     hop.propagation_delay = 1.5e-3;
     s.base.hops_before_tap.push_back(hop);
   }

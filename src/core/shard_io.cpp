@@ -62,9 +62,7 @@ void visit_fields(V& v, R& o) {
   v("padding_bps", o.padding_bps);
   v("dummy_fraction", o.dummy_fraction);
   v("delay_mean", o.delay_mean);
-  v("delay_p50", o.delay_p50);
   v("delay_p95", o.delay_p95);
-  v("delay_p99", o.delay_p99);
 }
 
 /// per_detector is not part of the format (it reads back empty).

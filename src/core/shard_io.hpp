@@ -46,8 +46,9 @@ namespace linkpad::core {
 /// of guessing. v2 added the sampled-subset fields (sample_flows,
 /// sample_round) to the header; v3 added the change-point fields to chunk
 /// lines (cpd_kinds + per-flow FlowCpd rows) and the `cpd` array to
-/// serialized ExperimentResults / SampleSizePoints.
-inline constexpr std::uint64_t kShardFormatVersion = 3;
+/// serialized ExperimentResults / SampleSizePoints; v4 dropped the median
+/// and 99th-percentile payload delays from each StreamOverhead.
+inline constexpr std::uint64_t kShardFormatVersion = 4;
 
 // ------------------------------------------------------------- shard model
 

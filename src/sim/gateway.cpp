@@ -63,9 +63,7 @@ void PaddingGateway::on_timer(Seconds /*now*/) {
     wire.created = payload.created;
     const Seconds waited = sim_.now() - payload.created;
     stats_.queueing_delay.add(waited);
-    stats_.delay_p50.add(waited);
     stats_.delay_p95.add(waited);
-    stats_.delay_p99.add(waited);
     ++stats_.payload_out;
     stats_.payload_bytes += static_cast<std::uint64_t>(wire_bytes_);
     feedback.emitted_payload = true;

@@ -40,11 +40,10 @@ struct GatewayStats {
   std::uint64_t payload_bytes = 0;    ///< wire bytes carrying payload
   std::uint64_t padding_bytes = 0;    ///< wire bytes carrying dummies
   stats::RunningStats queueing_delay; ///< payload wait in GW1 (QoS metric)
-  /// Streaming percentiles of the payload queueing delay (P², ~1% sketch
-  /// accuracy) — the latency half of the overhead/detectability frontier.
-  stats::P2Quantile delay_p50{0.5};
+  /// Streaming 95th percentile of the payload queueing delay (P², ~1%
+  /// sketch accuracy) — the latency half of the overhead/detectability
+  /// frontier.
   stats::P2Quantile delay_p95{0.95};
-  stats::P2Quantile delay_p99{0.99};
 };
 
 /// Sender-side padding gateway. The interrupt timer rides the scheduler's
@@ -61,7 +60,7 @@ class PaddingGateway final : public PacketSink, public TimerTask {
                  PacketSink& downstream, int wire_bytes = 1000,
                  std::size_t queue_capacity = 4096);
 
-  /// Payload ingress (TrafficSource sink interface).
+  /// Payload ingress (the CbrSource's sink).
   void on_packet(const Packet& packet, Seconds now) override;
 
   /// Designed timer interrupt S_k (TimerTask fast path).

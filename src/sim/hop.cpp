@@ -16,8 +16,7 @@ HopChannel::HopChannel(const HopConfig& config, int monitored_packet_bytes)
     : config_(config),
       monitored_service_(service_time(monitored_packet_bytes, config.bandwidth_bps)),
       sampler_(config.cross_utilization,
-               service_time(config.cross_packet_bytes, config.bandwidth_bps),
-               config.service_model) {
+               service_time(config.cross_packet_bytes, config.bandwidth_bps)) {
   LINKPAD_EXPECTS(config.bandwidth_bps > 0.0);
   LINKPAD_EXPECTS(config.cross_utilization >= 0.0 && config.cross_utilization < 1.0);
   LINKPAD_EXPECTS(monitored_packet_bytes > 0);

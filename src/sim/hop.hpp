@@ -23,8 +23,7 @@ struct HopConfig {
   std::string name = "hop";
   double bandwidth_bps = 1e9;      ///< output link speed
   double cross_utilization = 0.0;  ///< fraction of the link used by cross traffic
-  int cross_packet_bytes = 1000;   ///< cross packet size (service model below)
-  ServiceModel service_model = ServiceModel::kDeterministic;
+  int cross_packet_bytes = 1000;   ///< constant cross packet size (M/D/1)
   Seconds propagation_delay = 50e-6;  ///< constant per-hop latency
 };
 

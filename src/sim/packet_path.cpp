@@ -6,7 +6,9 @@ namespace linkpad::sim {
 
 PacketLevelTestbed::PacketLevelTestbed(const TestbedConfig& config,
                                        util::Rng& rng)
-    : config_(config), rng_(rng) {
+    : config_(config),
+      rng_(rng),
+      source_(config.payload_rate, config.payload_bytes) {
   LINKPAD_EXPECTS(config.policy != nullptr);
 
   // Wire back to front: sniffer <- router_k <- ... <- router_0 <- gateway.
@@ -34,13 +36,12 @@ PacketLevelTestbed::PacketLevelTestbed(const TestbedConfig& config,
   gateway_ = std::make_unique<PaddingGateway>(sim_, config.policy->clone(),
                                               config.jitter, rng_, *delivery_,
                                               config.wire_bytes);
-  source_ = make_payload_source(config);
 }
 
 std::vector<Seconds> PacketLevelTestbed::collect_piats(std::size_t count) {
   LINKPAD_EXPECTS(count > 0);
   if (!started_) {
-    source_->start(sim_, *gateway_, rng_);
+    source_.start(sim_, *gateway_, rng_);
     for (auto& cross : cross_) cross->start();
     gateway_->start();
     started_ = true;

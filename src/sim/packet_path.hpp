@@ -81,7 +81,7 @@ class PacketLevelTestbed {
   std::vector<std::unique_ptr<CrossTrafficProcess>> cross_;
   std::unique_ptr<ScheduledDelivery> delivery_;  ///< gateway -> first hop
   std::unique_ptr<PaddingGateway> gateway_;
-  std::unique_ptr<TrafficSource> source_;
+  CbrSource source_;
   bool started_ = false;
   std::size_t consumed_arrivals_ = 1;  // +1: PIATs are diffs
 };

@@ -1,7 +1,7 @@
 // The adversary's capture device (the paper uses an Agilent J6841A network
 // analyzer). Records arrival timestamps of the monitored flow at its tap
-// point and yields the packet inter-arrival time (PIAT) series that every
-// feature statistic is computed from.
+// point; the packet inter-arrival times (PIATs) that every feature
+// statistic is computed from are their successive differences.
 #pragma once
 
 #include <vector>
@@ -11,50 +11,22 @@
 
 namespace linkpad::sim {
 
-/// Timestamp recorder; also usable as a pass-through tap (forwards packets
-/// to `next` if given).
+/// Terminal timestamp recorder of the monitored flow.
 class Sniffer final : public PacketSink {
  public:
-  explicit Sniffer(PacketSink* next = nullptr) : next_(next) {}
-
-  void on_packet(const Packet& packet, Seconds now) override;
+  void on_packet(const Packet& packet, Seconds now) override {
+    if (packet.flow == FlowId::kMonitored) arrivals_.push_back(now);
+  }
 
   /// Raw arrival times of the monitored flow.
   [[nodiscard]] const std::vector<Seconds>& arrival_times() const {
     return arrivals_;
   }
 
-  /// Inter-arrival times X_k = t_k − t_{k−1} (size = arrivals − 1).
-  [[nodiscard]] std::vector<Seconds> piats() const;
-
-  /// Drop everything captured so far (e.g. warm-up packets).
-  void clear() { arrivals_.clear(); }
-
   [[nodiscard]] std::size_t captured() const { return arrivals_.size(); }
 
  private:
   std::vector<Seconds> arrivals_;
-  PacketSink* next_;
-};
-
-/// Terminal sink counting payload vs dummy — stands in for the receiving
-/// gateway GW2, which strips dummies and forwards payload into subnet B.
-class ReceiverGateway final : public PacketSink {
- public:
-  void on_packet(const Packet& packet, Seconds now) override;
-
-  [[nodiscard]] std::uint64_t payload_received() const { return payload_; }
-  [[nodiscard]] std::uint64_t dummy_received() const { return dummy_; }
-
-  /// End-to-end delay of payload packets (entered GW1 → reached GW2).
-  [[nodiscard]] const std::vector<Seconds>& payload_delays() const {
-    return delays_;
-  }
-
- private:
-  std::uint64_t payload_ = 0;
-  std::uint64_t dummy_ = 0;
-  std::vector<Seconds> delays_;
 };
 
 }  // namespace linkpad::sim

@@ -20,25 +20,14 @@ std::size_t Testbed::emitted_arrivals() const {
 Testbed::Testbed(const TestbedConfig& config, util::Rng& rng)
     : config_(config),
       rng_(rng),
-      path_(config.hops_before_tap, config.wire_bytes) {
+      path_(config.hops_before_tap, config.wire_bytes),
+      source_(config.payload_rate, config.payload_bytes) {
   LINKPAD_EXPECTS(config.policy != nullptr);
-  LINKPAD_EXPECTS(config.payload_rate > 0.0);
 
   tap_ = std::make_unique<TapAdapter>(path_, rng_, tap_arrivals_);
   gateway_ = std::make_unique<PaddingGateway>(
       sim_, config.policy->clone(), config.jitter, rng_, *tap_,
       config.wire_bytes);
-
-  source_ = make_payload_source(config);
-}
-
-std::unique_ptr<TrafficSource> make_payload_source(
-    const TestbedConfig& config) {
-  if (config.payload_kind == PayloadKind::kPoisson) {
-    return std::make_unique<PoissonSource>(config.payload_rate,
-                                           config.payload_bytes);
-  }
-  return std::make_unique<CbrSource>(config.payload_rate, config.payload_bytes);
 }
 
 std::vector<Seconds> Testbed::collect_piats(std::size_t count) {
@@ -51,7 +40,7 @@ std::vector<Seconds> Testbed::collect_piats(std::size_t count) {
 std::size_t Testbed::collect_piats(std::size_t count, std::vector<Seconds>& out) {
   LINKPAD_EXPECTS(count > 0);
   if (!started_) {
-    source_->start(sim_, *gateway_, rng_);
+    source_.start(sim_, *gateway_, rng_);
     gateway_->start();
     started_ = true;
     // PIAT k uses arrivals k-1 and k; the first `warmup_piats` PIATs are

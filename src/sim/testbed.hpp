@@ -16,21 +16,16 @@
 #include "sim/hop.hpp"
 #include "sim/packet.hpp"
 #include "sim/scheduler.hpp"
-#include "sim/sniffer.hpp"
 #include "sim/source.hpp"
 #include "sim/timer_policy.hpp"
 #include "util/rng.hpp"
 
 namespace linkpad::sim {
 
-/// Payload traffic process selection.
-enum class PayloadKind { kCbr, kPoisson };
-
 /// Full configuration of one testbed run.
 struct TestbedConfig {
-  // Payload traffic entering GW1 from the protected subnet.
+  // CBR payload traffic entering GW1 from the protected subnet.
   PacketsPerSecond payload_rate = 10.0;
-  PayloadKind payload_kind = PayloadKind::kCbr;
   int payload_bytes = 512;
 
   // Padding policy prototype (cloned per run) + gateway host characteristics.
@@ -107,15 +102,10 @@ class Testbed {
   std::vector<Seconds> tap_arrivals_;
   std::unique_ptr<TapAdapter> tap_;
   std::unique_ptr<PaddingGateway> gateway_;
-  std::unique_ptr<TrafficSource> source_;
+  CbrSource source_;
   bool started_ = false;
   std::size_t cursor_ = 0;  ///< index of the next tap arrival to diff against
 };
-
-/// The payload source `config` names (kind, rate, packet size); both
-/// engines build their source here.
-[[nodiscard]] std::unique_ptr<TrafficSource> make_payload_source(
-    const TestbedConfig& config);
 
 /// Convenience one-shot: build a Testbed and collect `count` PIATs.
 std::vector<Seconds> collect_piats(const TestbedConfig& config,

@@ -160,59 +160,4 @@ double Uniform::pdf(double x) const {
 
 double Uniform::sample(Rng& rng) const { return rng.uniform(lo_, hi_); }
 
-// ---------------------------------------------------------------- Pareto --
-
-Pareto::Pareto(double scale, double shape) : scale_(scale), shape_(shape) {
-  LINKPAD_EXPECTS(scale > 0.0);
-  LINKPAD_EXPECTS(shape > 0.0);
-}
-
-double Pareto::mean() const {
-  LINKPAD_EXPECTS(shape_ > 1.0);
-  return shape_ * scale_ / (shape_ - 1.0);
-}
-
-double Pareto::sample(Rng& rng) const {
-  // Inversion of the survival function.
-  const double u = 1.0 - rng.uniform01();  // in (0, 1]
-  return scale_ * std::pow(u, -1.0 / shape_);
-}
-
-// --------------------------------------------------------------- Poisson --
-
-std::uint64_t sample_poisson(Rng& rng, double lambda) {
-  LINKPAD_EXPECTS(lambda >= 0.0);
-  if (lambda == 0.0) return 0;
-  if (lambda < 30.0) {
-    // Knuth inversion.
-    const double limit = std::exp(-lambda);
-    double prod = rng.uniform01();
-    std::uint64_t k = 0;
-    while (prod > limit) {
-      prod *= rng.uniform01();
-      ++k;
-    }
-    return k;
-  }
-  // Normal approximation with continuity correction, rejected below zero;
-  // adequate for the traffic-volume draws we use it for (lambda >= 30).
-  for (;;) {
-    const double x = lambda + std::sqrt(lambda) * sample_standard_normal(rng);
-    if (x >= -0.5) return static_cast<std::uint64_t>(std::llround(std::max(0.0, x)));
-  }
-}
-
-// ------------------------------------------------------------ ChiSquared --
-
-ChiSquared::ChiSquared(double dof) : dof_(dof) { LINKPAD_EXPECTS(dof > 0.0); }
-
-double ChiSquared::pdf(double x) const {
-  if (x <= 0.0) return 0.0;
-  const double k2 = 0.5 * dof_;
-  return std::exp((k2 - 1.0) * std::log(x) - 0.5 * x - k2 * std::log(2.0) -
-                  log_gamma(k2));
-}
-
-double ChiSquared::cdf(double x) const { return chi_squared_cdf(dof_, x); }
-
 }  // namespace linkpad::stats

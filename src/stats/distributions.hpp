@@ -12,7 +12,6 @@
 // per-thread engines.
 #pragma once
 
-#include <cstdint>
 
 #include "util/rng.hpp"
 
@@ -116,43 +115,6 @@ class Uniform {
  private:
   double lo_;
   double hi_;
-};
-
-/// Pareto (Lomax-style, x ≥ scale) — heavy-tailed ON periods for the bursty
-/// cross-traffic generator (self-similar aggregate traffic).
-class Pareto {
- public:
-  Pareto(double scale, double shape);
-
-  [[nodiscard]] double scale() const { return scale_; }
-  [[nodiscard]] double shape() const { return shape_; }
-  /// Mean (finite only for shape > 1).
-  [[nodiscard]] double mean() const;
-  [[nodiscard]] double sample(Rng& rng) const;
-
- private:
-  double scale_;
-  double shape_;
-};
-
-/// Poisson counts with mean lambda (inversion for small lambda, PTRD-style
-/// normal-approximation rejection fallback for large).
-std::uint64_t sample_poisson(Rng& rng, double lambda);
-
-/// Chi-squared distribution with k degrees of freedom (theory only; the
-/// exact law of (n−1)·S²/σ² for normal samples).
-class ChiSquared {
- public:
-  explicit ChiSquared(double dof);
-
-  [[nodiscard]] double dof() const { return dof_; }
-  [[nodiscard]] double mean() const { return dof_; }
-  [[nodiscard]] double variance() const { return 2.0 * dof_; }
-  [[nodiscard]] double pdf(double x) const;
-  [[nodiscard]] double cdf(double x) const;
-
- private:
-  double dof_;
 };
 
 }  // namespace linkpad::stats

@@ -56,63 +56,4 @@ double normal_quantile(double p) {
   return x;
 }
 
-namespace {
-
-// Series expansion of P(a,x), valid/fast for x < a + 1.
-double gamma_p_series(double a, double x) {
-  double sum = 1.0 / a;
-  double term = sum;
-  for (int n = 1; n < 500; ++n) {
-    term *= x / (a + n);
-    sum += term;
-    if (std::abs(term) < std::abs(sum) * 1e-16) break;
-  }
-  return sum * std::exp(-x + a * std::log(x) - std::lgamma(a));
-}
-
-// Lentz continued fraction for Q(a,x), valid/fast for x >= a + 1.
-double gamma_q_cf(double a, double x) {
-  constexpr double tiny = 1e-300;
-  double b = x + 1.0 - a;
-  double c = 1.0 / tiny;
-  double d = 1.0 / b;
-  double h = d;
-  for (int i = 1; i < 500; ++i) {
-    const double an = -i * (i - a);
-    b += 2.0;
-    d = an * d + b;
-    if (std::abs(d) < tiny) d = tiny;
-    c = b + an / c;
-    if (std::abs(c) < tiny) c = tiny;
-    d = 1.0 / d;
-    const double delta = d * c;
-    h *= delta;
-    if (std::abs(delta - 1.0) < 1e-16) break;
-  }
-  return std::exp(-x + a * std::log(x) - std::lgamma(a)) * h;
-}
-
-}  // namespace
-
-double regularized_gamma_p(double a, double x) {
-  if (!(a > 0.0) || x < 0.0) {
-    throw std::domain_error("regularized_gamma_p: need a > 0, x >= 0");
-  }
-  if (x == 0.0) return 0.0;
-  if (x < a + 1.0) return gamma_p_series(a, x);
-  return 1.0 - gamma_q_cf(a, x);
-}
-
-double regularized_gamma_q(double a, double x) {
-  return 1.0 - regularized_gamma_p(a, x);
-}
-
-double chi_squared_cdf(double dof, double x) {
-  if (!(dof > 0.0)) throw std::domain_error("chi_squared_cdf: dof must be > 0");
-  if (x <= 0.0) return 0.0;
-  return regularized_gamma_p(0.5 * dof, 0.5 * x);
-}
-
-double log_gamma(double x) { return std::lgamma(x); }
-
 }  // namespace linkpad::stats

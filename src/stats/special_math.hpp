@@ -1,11 +1,9 @@
 // Special functions needed by the detection-rate theory and the
-// distribution substrate: standard normal pdf/cdf/quantile and the
-// regularized incomplete gamma function (for chi-squared CDFs).
+// distribution substrate: the standard normal pdf, cdf and quantile.
 //
 // Implemented from scratch (no external deps): the normal quantile uses
 // Acklam's rational approximation refined with one Halley step (|err| below
-// 1e-13 over (0,1)), and the incomplete gamma follows the classic
-// series / continued-fraction split at x = a + 1.
+// 1e-13 over (0,1)).
 #pragma once
 
 namespace linkpad::stats {
@@ -19,17 +17,5 @@ double normal_cdf(double x);
 /// Inverse standard normal CDF Φ⁻¹(p) for p in (0, 1).
 /// Throws std::domain_error outside (0, 1).
 double normal_quantile(double p);
-
-/// Regularized lower incomplete gamma P(a, x) = γ(a,x)/Γ(a), a > 0, x ≥ 0.
-double regularized_gamma_p(double a, double x);
-
-/// Regularized upper incomplete gamma Q(a, x) = 1 − P(a, x).
-double regularized_gamma_q(double a, double x);
-
-/// Chi-squared CDF with `dof` degrees of freedom evaluated at x ≥ 0.
-double chi_squared_cdf(double dof, double x);
-
-/// Natural log of the gamma function (thin wrapper, kept for discoverability).
-double log_gamma(double x);
 
 }  // namespace linkpad::stats

@@ -148,12 +148,10 @@ TEST(FrontierOverhead, EngineAccountingTracksAnalyticRatesForCit) {
   // Dummy fraction per class complements the payload share: 1 − rate·τ.
   EXPECT_NEAR(result.overhead_per_class[0].dummy_fraction, 0.9, 0.02);
   EXPECT_NEAR(result.overhead_per_class[1].dummy_fraction, 0.6, 0.02);
-  // Queueing-delay percentiles are populated, ordered and ≲ τ.
+  // The queueing-delay percentile is populated and ≲ τ.
   for (const auto& oh : result.overhead_per_class) {
-    EXPECT_GT(oh.delay_p50, 0.0);
-    EXPECT_LE(oh.delay_p50, oh.delay_p95);
-    EXPECT_LE(oh.delay_p95, oh.delay_p99);
-    EXPECT_LT(oh.delay_p99, 1.5 * 10e-3);
+    EXPECT_GT(oh.delay_p95, 0.0);
+    EXPECT_LT(oh.delay_p95, 1.5 * 10e-3);
     EXPECT_EQ(oh.suppressed_fires, 0u);
   }
 }

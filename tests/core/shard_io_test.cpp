@@ -4,8 +4,8 @@
 //     lossless: 200 seeded-random shards (full ExperimentResults, CPD rows,
 //     confusion counts, optionals, ±inf/−0/subnormal doubles) survive a
 //     text round trip with every bit intact, and re-serialization is
-//     byte-identical (the format is canonical). Committed golden v3 texts
-//     pin the bytes themselves.
+//     byte-identical (the format is canonical). Committed golden v4 texts
+//     pin the bytes themselves; a v3 text is refused by its version.
 //  2. N-shard bit-identity — shards {1, 2, 3, 8} × flows {1, 2, 33, 1000}
 //     × grains: run_population_shard per shard, merge_shards once, and the
 //     result (including the order-sensitive P² finalize) equals the
@@ -212,9 +212,7 @@ ExperimentResult random_experiment_result(
       o.padding_bps = random_double(rng);
       o.dummy_fraction = random_double(rng);
       o.delay_mean = random_double(rng);
-      o.delay_p50 = random_double(rng);
       o.delay_p95 = random_double(rng);
-      o.delay_p99 = random_double(rng);
       r.overhead_per_class.push_back(o);
     }
   }
@@ -361,8 +359,8 @@ void expect_same_result_bits(const ExperimentResult& a,
     EXPECT_EQ(a.overhead_per_class[i].payload_packets,
               b.overhead_per_class[i].payload_packets)
         << label;
-    expect_bits(a.overhead_per_class[i].delay_p99,
-                b.overhead_per_class[i].delay_p99, label + " delay_p99");
+    expect_bits(a.overhead_per_class[i].delay_p95,
+                b.overhead_per_class[i].delay_p95, label + " delay_p95");
   }
 }
 
@@ -432,90 +430,146 @@ TEST(ShardRoundTrip, TwoHundredRandomAggregatesSurviveBitwise) {
   EXPECT_GT(cpd_rows, 100u);  // the v3 change-point fields are exercised
 }
 
-// ------------------------------------------------------------ golden v3 text
+// ------------------------------------------------------------ golden v4 text
 
-// Two v3 shard files written by the pre-field-list codec. A: a sampled
-// header, keep_per_flow on, one CUSUM detector, `predicted` both set and
-// null. B: an exhaustive header, keep_per_flow off, two detectors. Any
-// change to these bytes is a format change and needs a version bump.
+// Two v4 shard files. A: a sampled header, keep_per_flow on, one CUSUM
+// detector, `predicted` both set and null. B: an exhaustive header,
+// keep_per_flow off, two detectors. Any change to these bytes is a format
+// change and needs a version bump.
 const std::string kGoldenSampled =
-    R"({"linkpad_shard":3,"shard_index":0,"shard_count":2,"flows":7,"grain")"
-    R"(:2,"sample_flows":3,"sample_round":1,"sample_sizes":[40],"detection_)"
-    R"(threshold":"3fe8000000000000","mean_interval":"3f847ae147ae147b","se)"
-    R"(ed":20030324,"keep_per_flow":true})"
+    R"({"linkpad_shard":4,"shard_index":0,"shard_count":2,"flows":7,"grain":2)"
+    R"(,"sample_flows":3,"sample_round":1,"sample_sizes":[40],"detection_thre)"
+    R"(shold":"3fe8000000000000","mean_interval":"3f847ae147ae147b","seed":20)"
+    R"(030324,"keep_per_flow":true})"
     "\n"
-    R"({"chunk":0,"first_flow":0,"rates":[["3ff0000000000000","000000000000)"
-    R"(0000"]],"overhead":[{"has_cost":true,"padding_bps":"41224f8000000000)"
-    R"(","wire_bps":"41286a0000000000","dummy_fraction":"3fe8000000000000",)"
-    R"("has_delay":true,"delay_p95":"3f8374bc6a7ef9db"},{"has_cost":false,")"
-    R"(padding_bps":"0000000000000000","wire_bps":"0000000000000000","dummy)"
-    R"(_fraction":"8000000000000000","has_delay":false,"delay_p95":"fff0000)"
-    R"(000000000"}],"cpd_kinds":[0],"cpd":[[{"detected":true,"n_at_detectio)"
-    R"(n":120,"false_alarms":2,"threshold":"4012000000000000"},{"detected":)"
-    R"(false,"n_at_detection":0,"false_alarms":0,"threshold":"4011000000000)"
-    R"(000"}]],"per_flow":[{"rate":"3ff0000000000000","ci":{"estimate":"3ff)"
-    R"(0000000000000","lo":"8000000000000000","hi":"7ff0000000000000"},"con)"
-    R"(fusion":{"classes":3,"counts":[4,0,0,0,0,0,0,3,0]},"r_hat":"40040000)"
-    R"(00000000","predicted":"3fec000000000000","piat":["3f847ae147ae147b",)"
-    R"("3f847ae147ae147b","0000000000000001","fff0000000000000"],"per_featu)"
-    R"(re":[{"feature":1,"rate":"3ff0000000000000","ci":{"estimate":"3ff000)"
-    R"(0000000000","lo":"3fd0000000000000","hi":"3ff0000000000000"},"confus)"
-    R"(ion":{"classes":2,"counts":[7,1,0,8]},"predicted":"3fea000000000000")"
-    R"(}],"cpd":[{"kind":0,"threshold":"4012000000000000","detected":true,")"
-    R"(n_at_detection":120,"false_alarms":2}],"by_sample_size":[{"n":40,"tr)"
-    R"(ain":12,"test":6,"r_hat":"4004000000000000","per_feature":[{"feature)"
-    R"(":1,"rate":"3ff0000000000000","ci":{"estimate":"3ff0000000000000","l)"
-    R"(o":"3fd0000000000000","hi":"3ff0000000000000"},"confusion":{"classes)"
-    R"(":2,"counts":[7,1,0,8]},"predicted":null}],"cpd":[{"kind":0,"thresho)"
-    R"(ld":"4012000000000000","detected":false,"n_at_detection":0,"false_al)"
-    R"(arms":2}]}],"overhead_per_class":[{"payload":400,"dummy":1200,"suppr)"
-    R"(essed":3,"wire_bps":"41286a0000000000","padding_bps":"41224f80000000)"
-    R"(00","dummy_fraction":"3fe8000000000000","delay_mean":"3f60624dd2f1a9)"
-    R"(fc","delay_p50":"3f589374bc6a7efa","delay_p95":"3f8374bc6a7ef9db","d)"
-    R"(elay_p99":"3f8999999999999a"}]},{"rate":"0000000000000000","ci":{"es)"
-    R"(timate":"0000000000000000","lo":"8000000000000000","hi":"7ff00000000)"
-    R"(00000"},"confusion":{"classes":3,"counts":[4,0,0,0,0,0,0,3,0]},"r_ha)"
-    R"(t":"4004000000000000","predicted":null,"piat":["3f847ae147ae147b","3)"
-    R"(f847ae147ae147b","0000000000000001","fff0000000000000"],"per_feature)"
-    R"(":[{"feature":1,"rate":"0000000000000000","ci":{"estimate":"00000000)"
-    R"(00000000","lo":"3fd0000000000000","hi":"3ff0000000000000"},"confusio)"
-    R"(n":{"classes":2,"counts":[7,1,0,8]},"predicted":null}],"cpd":[{"kind)"
-    R"(":0,"threshold":"4012000000000000","detected":true,"n_at_detection":)"
-    R"(120,"false_alarms":2}],"by_sample_size":[{"n":40,"train":12,"test":6)"
-    R"(,"r_hat":"4004000000000000","per_feature":[{"feature":1,"rate":"0000)"
-    R"(000000000000","ci":{"estimate":"0000000000000000","lo":"3fd000000000)"
-    R"(0000","hi":"3ff0000000000000"},"confusion":{"classes":2,"counts":[7,)"
-    R"(1,0,8]},"predicted":"3fea000000000000"}],"cpd":[{"kind":0,"threshold)"
-    R"(":"4012000000000000","detected":false,"n_at_detection":0,"false_alar)"
-    R"(ms":2}]}],"overhead_per_class":[{"payload":400,"dummy":1200,"suppres)"
-    R"(sed":3,"wire_bps":"41286a0000000000","padding_bps":"41224f8000000000)"
-    R"(","dummy_fraction":"3fe8000000000000","delay_mean":"3f60624dd2f1a9fc)"
-    R"(","delay_p50":"3f589374bc6a7efa","delay_p95":"3f8374bc6a7ef9db","del)"
-    R"(ay_p99":"3f8999999999999a"}]}]})"
+    R"({"chunk":0,"first_flow":0,"rates":[["3ff0000000000000","00000000000000)"
+    R"(00"]],"overhead":[{"has_cost":true,"padding_bps":"41224f8000000000","w)"
+    R"(ire_bps":"41286a0000000000","dummy_fraction":"3fe8000000000000","has_d)"
+    R"(elay":true,"delay_p95":"3f8374bc6a7ef9db"},{"has_cost":false,"padding_)"
+    R"(bps":"0000000000000000","wire_bps":"0000000000000000","dummy_fraction")"
+    R"(:"8000000000000000","has_delay":false,"delay_p95":"fff0000000000000"}])"
+    R"(,"cpd_kinds":[0],"cpd":[[{"detected":true,"n_at_detection":120,"false_)"
+    R"(alarms":2,"threshold":"4012000000000000"},{"detected":false,"n_at_dete)"
+    R"(ction":0,"false_alarms":0,"threshold":"4011000000000000"}]],"per_flow")"
+    R"(:[{"rate":"3ff0000000000000","ci":{"estimate":"3ff0000000000000","lo":)"
+    R"("8000000000000000","hi":"7ff0000000000000"},"confusion":{"classes":3,")"
+    R"(counts":[4,0,0,0,0,0,0,3,0]},"r_hat":"4004000000000000","predicted":"3)"
+    R"(fec000000000000","piat":["3f847ae147ae147b","3f847ae147ae147b","000000)"
+    R"(0000000001","fff0000000000000"],"per_feature":[{"feature":1,"rate":"3f)"
+    R"(f0000000000000","ci":{"estimate":"3ff0000000000000","lo":"3fd000000000)"
+    R"(0000","hi":"3ff0000000000000"},"confusion":{"classes":2,"counts":[7,1,)"
+    R"(0,8]},"predicted":"3fea000000000000"}],"cpd":[{"kind":0,"threshold":"4)"
+    R"(012000000000000","detected":true,"n_at_detection":120,"false_alarms":2)"
+    R"(}],"by_sample_size":[{"n":40,"train":12,"test":6,"r_hat":"400400000000)"
+    R"(0000","per_feature":[{"feature":1,"rate":"3ff0000000000000","ci":{"est)"
+    R"(imate":"3ff0000000000000","lo":"3fd0000000000000","hi":"3ff00000000000)"
+    R"(00"},"confusion":{"classes":2,"counts":[7,1,0,8]},"predicted":null}],")"
+    R"(cpd":[{"kind":0,"threshold":"4012000000000000","detected":false,"n_at_)"
+    R"(detection":0,"false_alarms":2}]}],"overhead_per_class":[{"payload":400)"
+    R"(,"dummy":1200,"suppressed":3,"wire_bps":"41286a0000000000","padding_bp)"
+    R"(s":"41224f8000000000","dummy_fraction":"3fe8000000000000","delay_mean")"
+    R"(:"3f60624dd2f1a9fc","delay_p95":"3f8374bc6a7ef9db"}]},{"rate":"0000000)"
+    R"(000000000","ci":{"estimate":"0000000000000000","lo":"8000000000000000")"
+    R"(,"hi":"7ff0000000000000"},"confusion":{"classes":3,"counts":[4,0,0,0,0)"
+    R"(,0,0,3,0]},"r_hat":"4004000000000000","predicted":null,"piat":["3f847a)"
+    R"(e147ae147b","3f847ae147ae147b","0000000000000001","fff0000000000000"],)"
+    R"("per_feature":[{"feature":1,"rate":"0000000000000000","ci":{"estimate")"
+    R"(:"0000000000000000","lo":"3fd0000000000000","hi":"3ff0000000000000"},")"
+    R"(confusion":{"classes":2,"counts":[7,1,0,8]},"predicted":null}],"cpd":[)"
+    R"({"kind":0,"threshold":"4012000000000000","detected":true,"n_at_detecti)"
+    R"(on":120,"false_alarms":2}],"by_sample_size":[{"n":40,"train":12,"test")"
+    R"(:6,"r_hat":"4004000000000000","per_feature":[{"feature":1,"rate":"0000)"
+    R"(000000000000","ci":{"estimate":"0000000000000000","lo":"3fd00000000000)"
+    R"(00","hi":"3ff0000000000000"},"confusion":{"classes":2,"counts":[7,1,0,)"
+    R"(8]},"predicted":"3fea000000000000"}],"cpd":[{"kind":0,"threshold":"401)"
+    R"(2000000000000","detected":false,"n_at_detection":0,"false_alarms":2}]})"
+    R"(],"overhead_per_class":[{"payload":400,"dummy":1200,"suppressed":3,"wi)"
+    R"(re_bps":"41286a0000000000","padding_bps":"41224f8000000000","dummy_fra)"
+    R"(ction":"3fe8000000000000","delay_mean":"3f60624dd2f1a9fc","delay_p95":)"
+    R"("3f8374bc6a7ef9db"}]}]})"
     "\n";
 
 const std::string kGoldenAggregateOnly =
-    R"({"linkpad_shard":3,"shard_index":1,"shard_count":2,"flows":5,"grain")"
-    R"(:2,"sample_flows":0,"sample_round":0,"sample_sizes":[20,40],"detecti)"
-    R"(on_threshold":"3fe8000000000000","mean_interval":"3f847ae147ae147b",)"
-    R"("seed":7,"keep_per_flow":false})"
+    R"({"linkpad_shard":4,"shard_index":1,"shard_count":2,"flows":5,"grain":2)"
+    R"(,"sample_flows":0,"sample_round":0,"sample_sizes":[20,40],"detection_t)"
+    R"(hreshold":"3fe8000000000000","mean_interval":"3f847ae147ae147b","seed")"
+    R"(:7,"keep_per_flow":false})"
     "\n"
-    R"({"chunk":1,"first_flow":2,"rates":[["3fe0000000000000","000000000000)"
-    R"(0001"],["3fe4000000000000","3ff0000000000000"]],"overhead":[{"has_co)"
-    R"(st":true,"padding_bps":"41224f8000000000","wire_bps":"41286a00000000)"
-    R"(00","dummy_fraction":"3fe8000000000000","has_delay":true,"delay_p95")"
-    R"(:"3f8374bc6a7ef9db"},{"has_cost":true,"padding_bps":"7ff000000000000)"
-    R"(0","wire_bps":"41286a0000000000","dummy_fraction":"3fe8000000000000")"
-    R"(,"has_delay":true,"delay_p95":"3f826e978d4fdf3b"}],"cpd_kinds":[0,1])"
-    R"(,"cpd":[[{"detected":true,"n_at_detection":88,"false_alarms":0,"thre)"
-    R"(shold":"4014000000000000"},{"detected":true,"n_at_detection":140,"fa)"
-    R"(lse_alarms":1,"threshold":"4016000000000000"}],[{"detected":false,"n)"
-    R"(_at_detection":0,"false_alarms":3,"threshold":"4000000000000000"},{")"
-    R"(detected":false,"n_at_detection":0,"false_alarms":0,"threshold":"800)"
-    R"(0000000000000"}]],"per_flow":[]})"
+    R"({"chunk":1,"first_flow":2,"rates":[["3fe0000000000000","00000000000000)"
+    R"(01"],["3fe4000000000000","3ff0000000000000"]],"overhead":[{"has_cost":)"
+    R"(true,"padding_bps":"41224f8000000000","wire_bps":"41286a0000000000","d)"
+    R"(ummy_fraction":"3fe8000000000000","has_delay":true,"delay_p95":"3f8374)"
+    R"(bc6a7ef9db"},{"has_cost":true,"padding_bps":"7ff0000000000000","wire_b)"
+    R"(ps":"41286a0000000000","dummy_fraction":"3fe8000000000000","has_delay")"
+    R"(:true,"delay_p95":"3f826e978d4fdf3b"}],"cpd_kinds":[0,1],"cpd":[[{"det)"
+    R"(ected":true,"n_at_detection":88,"false_alarms":0,"threshold":"40140000)"
+    R"(00000000"},{"detected":true,"n_at_detection":140,"false_alarms":1,"thr)"
+    R"(eshold":"4016000000000000"}],[{"detected":false,"n_at_detection":0,"fa)"
+    R"(lse_alarms":3,"threshold":"4000000000000000"},{"detected":false,"n_at_)"
+    R"(detection":0,"false_alarms":0,"threshold":"8000000000000000"}]],"per_f)"
+    R"(low":[]})"
     "\n";
 
-TEST(ShardGolden, V3TextsParseAndReserializeByteForByte) {
+// Golden A as format v3 wrote it, with the median and 99th-percentile
+// payload delays in each StreamOverhead. Parse and resume must refuse it by
+// its version.
+const std::string kGoldenSampledV3 =
+    R"({"linkpad_shard":3,"shard_index":0,"shard_count":2,"flows":7,"grain":2)"
+    R"(,"sample_flows":3,"sample_round":1,"sample_sizes":[40],"detection_thre)"
+    R"(shold":"3fe8000000000000","mean_interval":"3f847ae147ae147b","seed":20)"
+    R"(030324,"keep_per_flow":true})"
+    "\n"
+    R"({"chunk":0,"first_flow":0,"rates":[["3ff0000000000000","00000000000000)"
+    R"(00"]],"overhead":[{"has_cost":true,"padding_bps":"41224f8000000000","w)"
+    R"(ire_bps":"41286a0000000000","dummy_fraction":"3fe8000000000000","has_d)"
+    R"(elay":true,"delay_p95":"3f8374bc6a7ef9db"},{"has_cost":false,"padding_)"
+    R"(bps":"0000000000000000","wire_bps":"0000000000000000","dummy_fraction")"
+    R"(:"8000000000000000","has_delay":false,"delay_p95":"fff0000000000000"}])"
+    R"(,"cpd_kinds":[0],"cpd":[[{"detected":true,"n_at_detection":120,"false_)"
+    R"(alarms":2,"threshold":"4012000000000000"},{"detected":false,"n_at_dete)"
+    R"(ction":0,"false_alarms":0,"threshold":"4011000000000000"}]],"per_flow")"
+    R"(:[{"rate":"3ff0000000000000","ci":{"estimate":"3ff0000000000000","lo":)"
+    R"("8000000000000000","hi":"7ff0000000000000"},"confusion":{"classes":3,")"
+    R"(counts":[4,0,0,0,0,0,0,3,0]},"r_hat":"4004000000000000","predicted":"3)"
+    R"(fec000000000000","piat":["3f847ae147ae147b","3f847ae147ae147b","000000)"
+    R"(0000000001","fff0000000000000"],"per_feature":[{"feature":1,"rate":"3f)"
+    R"(f0000000000000","ci":{"estimate":"3ff0000000000000","lo":"3fd000000000)"
+    R"(0000","hi":"3ff0000000000000"},"confusion":{"classes":2,"counts":[7,1,)"
+    R"(0,8]},"predicted":"3fea000000000000"}],"cpd":[{"kind":0,"threshold":"4)"
+    R"(012000000000000","detected":true,"n_at_detection":120,"false_alarms":2)"
+    R"(}],"by_sample_size":[{"n":40,"train":12,"test":6,"r_hat":"400400000000)"
+    R"(0000","per_feature":[{"feature":1,"rate":"3ff0000000000000","ci":{"est)"
+    R"(imate":"3ff0000000000000","lo":"3fd0000000000000","hi":"3ff00000000000)"
+    R"(00"},"confusion":{"classes":2,"counts":[7,1,0,8]},"predicted":null}],")"
+    R"(cpd":[{"kind":0,"threshold":"4012000000000000","detected":false,"n_at_)"
+    R"(detection":0,"false_alarms":2}]}],"overhead_per_class":[{"payload":400)"
+    R"(,"dummy":1200,"suppressed":3,"wire_bps":"41286a0000000000","padding_bp)"
+    R"(s":"41224f8000000000","dummy_fraction":"3fe8000000000000","delay_mean")"
+    R"(:"3f60624dd2f1a9fc","del)"
+    R"(ay_p50":"3f589374bc6a7efa","delay_p95":"3f8374bc6a7ef9db","del)"
+    R"(ay_p99":"3f8999999999999a"}]},{"rate":"0000000000000000","ci":{"estima)"
+    R"(te":"0000000000000000","lo":"8000000000000000","hi":"7ff0000000000000")"
+    R"(},"confusion":{"classes":3,"counts":[4,0,0,0,0,0,0,3,0]},"r_hat":"4004)"
+    R"(000000000000","predicted":null,"piat":["3f847ae147ae147b","3f847ae147a)"
+    R"(e147b","0000000000000001","fff0000000000000"],"per_feature":[{"feature)"
+    R"(":1,"rate":"0000000000000000","ci":{"estimate":"0000000000000000","lo")"
+    R"(:"3fd0000000000000","hi":"3ff0000000000000"},"confusion":{"classes":2,)"
+    R"("counts":[7,1,0,8]},"predicted":null}],"cpd":[{"kind":0,"threshold":"4)"
+    R"(012000000000000","detected":true,"n_at_detection":120,"false_alarms":2)"
+    R"(}],"by_sample_size":[{"n":40,"train":12,"test":6,"r_hat":"400400000000)"
+    R"(0000","per_feature":[{"feature":1,"rate":"0000000000000000","ci":{"est)"
+    R"(imate":"0000000000000000","lo":"3fd0000000000000","hi":"3ff00000000000)"
+    R"(00"},"confusion":{"classes":2,"counts":[7,1,0,8]},"predicted":"3fea000)"
+    R"(000000000"}],"cpd":[{"kind":0,"threshold":"4012000000000000","detected)"
+    R"(":false,"n_at_detection":0,"false_alarms":2}]}],"overhead_per_class":[)"
+    R"({"payload":400,"dummy":1200,"suppressed":3,"wire_bps":"41286a000000000)"
+    R"(0","padding_bps":"41224f8000000000","dummy_fraction":"3fe8000000000000)"
+    R"(","delay_mean":"3f60624dd2f1a9fc","del)"
+    R"(ay_p50":"3f589374bc6a7efa","delay_p95":"3f8374bc6a7ef9db","del)"
+    R"(ay_p99":"3f8999999999999a"}]}]})"
+    "\n";
+
+TEST(ShardGolden, V4TextsParseAndReserializeByteForByte) {
   for (const std::string* golden : {&kGoldenSampled, &kGoldenAggregateOnly}) {
     EXPECT_EQ(serialize_shard(parse_shard(*golden)), *golden);
   }
@@ -777,6 +831,42 @@ TEST(ShardResume, CheckpointRefusesForeignCampaign) {
   std::remove(path.c_str());
 }
 
+TEST(ShardResume, V3CheckpointIsRefusedByItsVersionAndLeftUntouched) {
+  // The campaign golden A's header describes: only the format version tells
+  // this checkpoint apart, and its v3 chunk line would otherwise pass for a
+  // torn tail that resume recomputes over.
+  const std::string path = testing::TempDir() + "linkpad_v3_resume_test.shard";
+  {
+    std::ofstream out(path, std::ios::binary | std::ios::trunc);
+    out << kGoldenSampledV3;
+  }
+  auto spec = shard_spec(7);
+  spec.experiment.sample_size_axis = {40};
+  spec.sample_flows = 3;
+  spec.sample_round = 1;
+  SweepOptions options;
+  options.threads = 1;
+  options.grain = 2;
+  options.shard_index = 0;
+  options.shard_count = 2;
+  ShardRunOptions durability;
+  durability.checkpoint_path = path;
+  durability.resume = true;
+  try {
+    (void)run_population_shard(spec, sim_backend(), options, durability);
+    ADD_FAILURE() << "expected the shard_io version error";
+  } catch (const std::invalid_argument& err) {
+    const std::string what = err.what();
+    EXPECT_EQ(what.rfind("shard_io:", 0), 0u) << what;
+    EXPECT_NE(what.find("version 3"), std::string::npos) << what;
+  }
+  std::ifstream in(path, std::ios::binary);
+  std::ostringstream buf;
+  buf << in.rdbuf();
+  EXPECT_EQ(buf.str(), kGoldenSampledV3);
+  std::remove(path.c_str());
+}
+
 // ------------------------------------------------------- loud merge errors
 
 TEST(ShardMerge, MissingShardIsALoudError) {
@@ -817,6 +907,13 @@ TEST(ShardParse, FormatVersionDriftIsALoudError) {
   expect_named_parse_error(
       edited(text, R"("keep_per_flow":true})", R"("keep_per_flow":true,"hash":"0"})"),
       "version");
+}
+
+TEST(ShardParse, V3TextIsRefusedByItsVersion) {
+  expect_named_parse_error(kGoldenSampledV3, "version");
+  EXPECT_THROW(
+      (void)parse_shard(kGoldenSampledV3, /*tolerate_partial_tail=*/true),
+      std::invalid_argument);
 }
 
 TEST(ShardCheckpoint, BytesIndependentOfThreadCount) {

@@ -116,22 +116,6 @@ TEST(FullPipeline, RemoteTapWeakensTheAdversary) {
   EXPECT_GT(at_gateway, behind_congestion);
 }
 
-TEST(FullPipeline, PayloadProcessShapeDoesNotChangeTheStory) {
-  // Theorems only depend on arrival counts per interval; swapping CBR for
-  // Poisson payload must preserve the qualitative result.
-  for (auto kind : {sim::PayloadKind::kCbr, sim::PayloadKind::kPoisson}) {
-    core::ExperimentSpec spec;
-    spec.scenario = core::lab_zero_cross(core::make_cit());
-    spec.scenario.base.payload_kind = kind;
-    spec.plan.adversary.feature = classify::FeatureKind::kSampleVariance;
-    spec.plan.adversary.window_size = 700;
-    spec.plan.train_windows = 50;
-    spec.plan.test_windows = 50;
-    spec.seed = 13;
-    EXPECT_GT(core::ExperimentEngine().run(spec).detection_rate, 0.8);
-  }
-}
-
 TEST(FullPipeline, QosAccountingMatchesPaddingTheory) {
   // NetCamo-style QoS check: payload delay through GW1 stays bounded by
   // one timer interval at the paper's load levels.

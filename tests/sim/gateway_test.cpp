@@ -174,11 +174,10 @@ TEST(PaddingGateway, OverheadAccountingMatchesByHandCounts) {
   EXPECT_EQ(h.tap.dummy, gs.dummy_out);
   EXPECT_EQ(gs.suppressed_fires, 0u);  // CIT always pads
   EXPECT_EQ(gs.timer_fires, gs.payload_out + gs.dummy_out);
-  // Delay percentiles ordered and inside the observed range.
+  // The delay percentile lies inside the observed range.
   ASSERT_GT(gs.queueing_delay.count(), 0u);
-  EXPECT_LE(gs.delay_p50.value(), gs.delay_p95.value());
-  EXPECT_LE(gs.delay_p95.value(), gs.delay_p99.value());
-  EXPECT_LE(gs.delay_p99.value(), gs.queueing_delay.max() + 1e-12);
+  EXPECT_GE(gs.delay_p95.value(), gs.queueing_delay.min() - 1e-12);
+  EXPECT_LE(gs.delay_p95.value(), gs.queueing_delay.max() + 1e-12);
 }
 
 TEST(PaddingGateway, ZeroBudgetPolicySuppressesEveryDummy) {

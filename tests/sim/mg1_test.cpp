@@ -4,7 +4,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <tuple>
 #include <vector>
 
 #include "stats/descriptive.hpp"
@@ -15,7 +14,7 @@ namespace linkpad::sim {
 namespace {
 
 TEST(Mg1WaitSampler, ZeroUtilizationNeverWaits) {
-  Mg1WaitSampler s(0.0, 10e-6, ServiceModel::kDeterministic);
+  Mg1WaitSampler s(0.0, 10e-6);
   util::Rng rng(1);
   for (int i = 0; i < 1000; ++i) EXPECT_DOUBLE_EQ(s.sample(rng), 0.0);
   EXPECT_DOUBLE_EQ(s.mean_wait(), 0.0);
@@ -25,52 +24,39 @@ TEST(Mg1WaitSampler, ZeroUtilizationNeverWaits) {
 TEST(Mg1WaitSampler, IdleProbabilityIsOneMinusRho) {
   const int n = 200000;
   for (double rho : {0.3, 0.95}) {
-    for (ServiceModel model :
-         {ServiceModel::kDeterministic, ServiceModel::kExponential,
-          ServiceModel::kTrimodal}) {
-      Mg1WaitSampler s(rho, 10e-6, model);
-      util::Rng rng(2);
-      int zero = 0;
-      for (int i = 0; i < n; ++i) {
-        if (s.sample(rng) == 0.0) ++zero;
-      }
-      // Five binomial standard errors.
-      EXPECT_NEAR(static_cast<double>(zero) / n, 1.0 - rho,
-                  5.0 * std::sqrt(rho * (1.0 - rho) / n))
-          << "rho " << rho << " model " << static_cast<int>(model);
+    Mg1WaitSampler s(rho, 10e-6);
+    util::Rng rng(2);
+    int zero = 0;
+    for (int i = 0; i < n; ++i) {
+      if (s.sample(rng) == 0.0) ++zero;
     }
+    // Five binomial standard errors.
+    EXPECT_NEAR(static_cast<double>(zero) / n, 1.0 - rho,
+                5.0 * std::sqrt(rho * (1.0 - rho) / n))
+        << "rho " << rho;
   }
 }
 
 TEST(Mg1WaitSampler, MeanMatchesPollaczekKhinchineMD1) {
-  // M/D/1: E[W] = rho*S / (2(1-rho)).
+  // M/D/1: E[W] = ρS/(2(1−ρ)) and
+  // Var(W) = ρS²/(3(1−ρ)) + (ρS/(2(1−ρ)))².
   const double s_time = 8e-6;
-  for (double rho : {0.2, 0.5}) {
-    Mg1WaitSampler s(rho, s_time, ServiceModel::kDeterministic);
-    EXPECT_NEAR(s.mean_wait(), rho * s_time / (2.0 * (1.0 - rho)), 1e-15);
+  for (double rho : {0.2, 0.5, 0.95}) {
+    Mg1WaitSampler s(rho, s_time);
+    const double mean = rho * s_time / (2.0 * (1.0 - rho));
+    EXPECT_NEAR(s.mean_wait(), mean, 1e-15);
+    const double variance =
+        rho * s_time * s_time / (3.0 * (1.0 - rho)) + mean * mean;
+    EXPECT_NEAR(s.wait_variance(), variance, 1e-15 * variance) << rho;
   }
 }
 
-TEST(Mg1WaitSampler, MeanMatchesPollaczekKhinchineMM1) {
-  // M/M/1: E[W] = rho*S / (1-rho).
-  const double s_time = 8e-6;
-  const double rho = 0.4;
-  Mg1WaitSampler s(rho, s_time, ServiceModel::kExponential);
-  EXPECT_NEAR(s.mean_wait(), rho * s_time / (1.0 - rho), 1e-15);
-}
-
-struct Mg1Case {
-  double rho;
-  ServiceModel model;
-};
-
-class Mg1MomentSweep
-    : public ::testing::TestWithParam<std::tuple<double, ServiceModel>> {};
+class Mg1MomentSweep : public ::testing::TestWithParam<double> {};
 
 TEST_P(Mg1MomentSweep, SampleMomentsMatchClosedForms) {
-  const auto [rho, model] = GetParam();
+  const double rho = GetParam();
   const double service = 10e-6;
-  Mg1WaitSampler s(rho, service, model);
+  Mg1WaitSampler s(rho, service);
   util::Rng rng(42);
   stats::RunningStats rs;
   const int n = 400000;
@@ -80,45 +66,15 @@ TEST_P(Mg1MomentSweep, SampleMomentsMatchClosedForms) {
               0.05 * s.wait_variance() + 1e-15);
 }
 
-INSTANTIATE_TEST_SUITE_P(
-    RhoAndService, Mg1MomentSweep,
-    ::testing::Combine(::testing::Values(0.1, 0.3, 0.5, 0.7, 0.9, 0.95),
-                       ::testing::Values(ServiceModel::kDeterministic,
-                                         ServiceModel::kExponential,
-                                         ServiceModel::kTrimodal)));
+INSTANTIATE_TEST_SUITE_P(Rho, Mg1MomentSweep,
+                         ::testing::Values(0.1, 0.3, 0.5, 0.7, 0.9, 0.95));
 
 /// The textbook PK sampler the inversion path must reproduce in law: count
 /// K by rejection (one uniform per step, stop at the first U >= ρ) and add
-/// one equilibrium residual per step.
-double reference_wait(double rho, double service, ServiceModel model,
-                      util::Rng& rng) {
-  const double mb = TrimodalMix::mean_bytes();
+/// one Uniform(0, S] residual per step.
+double reference_wait(double rho, double service, util::Rng& rng) {
   double v = 0.0;
-  while (rng.uniform01() < rho) {
-    switch (model) {
-      case ServiceModel::kDeterministic:
-        v += service * (1.0 - rng.uniform01());
-        break;
-      case ServiceModel::kExponential:
-        v += -service * std::log1p(-rng.uniform01());
-        break;
-      case ServiceModel::kTrimodal: {
-        // Component size-biased by its service time, then uniform within.
-        double weight[3];
-        double total = 0.0;
-        for (int i = 0; i < 3; ++i) {
-          weight[i] = TrimodalMix::kProbs[i] * TrimodalMix::kSizes[i];
-          total += weight[i];
-        }
-        double u = rng.uniform01() * total;
-        int pick = 0;
-        for (; pick < 2 && u >= weight[pick]; ++pick) u -= weight[pick];
-        v += TrimodalMix::kSizes[pick] / mb * service *
-             (1.0 - rng.uniform01());
-        break;
-      }
-    }
-  }
+  while (rng.uniform01() < rho) v += service * (1.0 - rng.uniform01());
   return v;
 }
 
@@ -142,19 +98,18 @@ double ks_statistic(std::vector<double> a, std::vector<double> b) {
   return d;
 }
 
-class Mg1KsSweep
-    : public ::testing::TestWithParam<std::tuple<double, ServiceModel>> {};
+class Mg1KsSweep : public ::testing::TestWithParam<double> {};
 
 TEST_P(Mg1KsSweep, MatchesRejectionReferenceInLaw) {
-  const auto [rho, model] = GetParam();
+  const double rho = GetParam();
   const double service = 10e-6;
   const std::size_t n = 200000;
-  Mg1WaitSampler s(rho, service, model);
+  Mg1WaitSampler s(rho, service);
   util::Rng rng(7);
   util::Rng ref_rng(8);
   std::vector<double> fast(n), ref(n);
   for (auto& v : fast) v = s.sample(rng);
-  for (auto& v : ref) v = reference_wait(rho, service, model, ref_rng);
+  for (auto& v : ref) v = reference_wait(rho, service, ref_rng);
   // Asymptotic critical value at alpha = 0.001: c = sqrt(-ln(alpha/2)/2),
   // conservative for the atom at 0.
   const double alpha = 0.001;
@@ -163,12 +118,7 @@ TEST_P(Mg1KsSweep, MatchesRejectionReferenceInLaw) {
   EXPECT_LT(ks_statistic(fast, ref), crit);
 }
 
-INSTANTIATE_TEST_SUITE_P(
-    RhoAndService, Mg1KsSweep,
-    ::testing::Combine(::testing::Values(0.1, 0.5, 0.95),
-                       ::testing::Values(ServiceModel::kDeterministic,
-                                         ServiceModel::kExponential,
-                                         ServiceModel::kTrimodal)));
+INSTANTIATE_TEST_SUITE_P(Rho, Mg1KsSweep, ::testing::Values(0.1, 0.5, 0.95));
 
 TEST(Mg1WaitSampler, NearSaturationLongWalksMatchClosedForms) {
   // At ρ = 0.999, E[K] = 999 and P[K > 2047] ≈ 13%, so many draws walk the
@@ -176,7 +126,7 @@ TEST(Mg1WaitSampler, NearSaturationLongWalksMatchClosedForms) {
   // error to ρ^k. A wait above 2047·S needs K > 2047 (every residual is at
   // most S).
   const double service = 10e-6;
-  Mg1WaitSampler s(0.999, service, ServiceModel::kDeterministic);
+  Mg1WaitSampler s(0.999, service);
   util::Rng rng(9);
   stats::RunningStats rs;
   int crossed = 0;
@@ -195,23 +145,14 @@ TEST(Mg1WaitSampler, VarianceIncreasesWithRho) {
   const double service = 10e-6;
   double prev = -1.0;
   for (double rho : {0.1, 0.2, 0.3, 0.4, 0.5, 0.6}) {
-    Mg1WaitSampler s(rho, service, ServiceModel::kDeterministic);
+    Mg1WaitSampler s(rho, service);
     EXPECT_GT(s.wait_variance(), prev);
     prev = s.wait_variance();
   }
 }
 
-TEST(Mg1WaitSampler, HeavierServiceTailsWait) {
-  // At the same rho and E[S], exponential service waits longer than
-  // deterministic (E[S²] doubles).
-  Mg1WaitSampler det(0.4, 10e-6, ServiceModel::kDeterministic);
-  Mg1WaitSampler expo(0.4, 10e-6, ServiceModel::kExponential);
-  EXPECT_GT(expo.mean_wait(), det.mean_wait());
-  EXPECT_GT(expo.wait_variance(), det.wait_variance());
-}
-
 TEST(Mg1WaitSampler, SetRhoUpdatesMoments) {
-  Mg1WaitSampler s(0.1, 10e-6, ServiceModel::kDeterministic);
+  Mg1WaitSampler s(0.1, 10e-6);
   const double before = s.wait_variance();
   s.set_rho(0.5);
   EXPECT_GT(s.wait_variance(), before);
@@ -219,17 +160,9 @@ TEST(Mg1WaitSampler, SetRhoUpdatesMoments) {
 }
 
 TEST(Mg1WaitSampler, InvalidParamsRejected) {
-  EXPECT_THROW(Mg1WaitSampler(1.0, 1e-6, ServiceModel::kDeterministic),
-               linkpad::ContractViolation);
-  EXPECT_THROW(Mg1WaitSampler(-0.1, 1e-6, ServiceModel::kDeterministic),
-               linkpad::ContractViolation);
-  EXPECT_THROW(Mg1WaitSampler(0.5, 0.0, ServiceModel::kDeterministic),
-               linkpad::ContractViolation);
-}
-
-TEST(TrimodalMix, MeanBytesMatchesWeights) {
-  EXPECT_NEAR(TrimodalMix::mean_bytes(), 0.5 * 40 + 0.3 * 576 + 0.2 * 1500,
-              1e-12);
+  EXPECT_THROW(Mg1WaitSampler(1.0, 1e-6), linkpad::ContractViolation);
+  EXPECT_THROW(Mg1WaitSampler(-0.1, 1e-6), linkpad::ContractViolation);
+  EXPECT_THROW(Mg1WaitSampler(0.5, 0.0), linkpad::ContractViolation);
 }
 
 }  // namespace

@@ -140,8 +140,7 @@ TEST_P(AnalyticVsPacketLevel, StationaryWaitMomentsAgree) {
 
   const auto measured =
       measure_packet_level_wait(rho, bandwidth, cross_bytes, 77);
-  Mg1WaitSampler analytic(rho, cross_bytes * 8.0 / bandwidth,
-                          ServiceModel::kDeterministic);
+  Mg1WaitSampler analytic(rho, cross_bytes * 8.0 / bandwidth);
 
   EXPECT_NEAR(measured.mean, analytic.mean_wait(),
               0.05 * analytic.mean_wait() + 3e-8)

@@ -5,8 +5,6 @@
 #include <vector>
 
 #include "sim/scheduler.hpp"
-#include "sim/testbed.hpp"
-#include "stats/descriptive.hpp"
 #include "util/rng.hpp"
 
 namespace linkpad::sim {
@@ -60,46 +58,6 @@ TEST(CbrSource, IdsAreSequential) {
   for (std::size_t i = 0; i < sink.ids.size(); ++i) {
     EXPECT_EQ(sink.ids[i], i);
   }
-}
-
-TEST(PoissonSource, LongRunRateConverges) {
-  Simulation sim;
-  util::Xoshiro256pp rng(4);
-  PoissonSource src(50.0, 512);
-  Collector sink;
-  src.start(sim, sink, rng);
-  sim.run_until(200.0);
-  const double rate = static_cast<double>(sink.times.size()) / 200.0;
-  EXPECT_NEAR(rate, 50.0, 1.5);
-}
-
-TEST(PoissonSource, InterArrivalsAreExponential) {
-  Simulation sim;
-  util::Xoshiro256pp rng(5);
-  PoissonSource src(100.0, 512);
-  Collector sink;
-  src.start(sim, sink, rng);
-  sim.run_until(300.0);
-  std::vector<double> gaps;
-  for (std::size_t i = 1; i < sink.times.size(); ++i) {
-    gaps.push_back(sink.times[i] - sink.times[i - 1]);
-  }
-  // Exponential: mean = std-dev = 1/rate.
-  EXPECT_NEAR(stats::mean(gaps), 0.01, 5e-4);
-  EXPECT_NEAR(stats::sample_stddev(gaps), 0.01, 7e-4);
-}
-
-TEST(Sources, FactoriesProduceCorrectRates) {
-  TestbedConfig cfg;
-  cfg.payload_rate = 10.0;
-  const auto cbr = make_payload_source(cfg);
-  EXPECT_DOUBLE_EQ(cbr->mean_rate(), 10.0);
-  EXPECT_NE(dynamic_cast<CbrSource*>(cbr.get()), nullptr);
-  cfg.payload_kind = PayloadKind::kPoisson;
-  cfg.payload_rate = 40.0;
-  const auto poisson = make_payload_source(cfg);
-  EXPECT_DOUBLE_EQ(poisson->mean_rate(), 40.0);
-  EXPECT_NE(dynamic_cast<PoissonSource*>(poisson.get()), nullptr);
 }
 
 }  // namespace

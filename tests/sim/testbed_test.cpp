@@ -89,15 +89,6 @@ TEST(Testbed, VitIncreasesVarianceNotMean) {
   EXPECT_GT(stats::sample_variance(vit), 100.0 * stats::sample_variance(cit));
 }
 
-TEST(Testbed, PoissonPayloadWorks) {
-  auto cfg = base_config();
-  cfg.payload_kind = PayloadKind::kPoisson;
-  util::Xoshiro256pp rng(15);
-  const auto piats = collect_piats(cfg, rng, 2000);
-  EXPECT_EQ(piats.size(), 2000u);
-  EXPECT_NEAR(stats::mean(piats), 10e-3, 5e-5);
-}
-
 TEST(Testbed, GatewayStatsAccessible) {
   auto cfg = base_config();
   util::Xoshiro256pp rng(17);

@@ -124,64 +124,11 @@ TEST(Uniform, MomentsAndSupport) {
   EXPECT_LT(s.max, 6.0);
 }
 
-TEST(Pareto, TailIsHeavy) {
-  Pareto d(1.0, 1.5);
-  EXPECT_NEAR(d.mean(), 3.0, 1e-12);
-  const auto s = sample_summary(d, 400000, 9);
-  EXPECT_NEAR(s.mean, 3.0, 0.2);
-  EXPECT_GE(s.min, 1.0);
-  EXPECT_GT(s.max, 50.0);  // heavy tail produces extreme values
-}
-
-TEST(Poisson, SmallLambdaMoments) {
-  util::Xoshiro256pp rng(10);
-  RunningStats rs;
-  for (int i = 0; i < 200000; ++i) {
-    rs.add(static_cast<double>(sample_poisson(rng, 3.0)));
-  }
-  EXPECT_NEAR(rs.mean(), 3.0, 0.03);
-  EXPECT_NEAR(rs.variance(), 3.0, 0.06);
-}
-
-TEST(Poisson, LargeLambdaMoments) {
-  util::Xoshiro256pp rng(11);
-  RunningStats rs;
-  for (int i = 0; i < 100000; ++i) {
-    rs.add(static_cast<double>(sample_poisson(rng, 200.0)));
-  }
-  EXPECT_NEAR(rs.mean(), 200.0, 0.5);
-  EXPECT_NEAR(rs.variance(), 200.0, 5.0);
-}
-
-TEST(Poisson, ZeroLambdaIsZero) {
-  util::Xoshiro256pp rng(12);
-  EXPECT_EQ(sample_poisson(rng, 0.0), 0u);
-}
-
-TEST(ChiSquared, PdfIntegratesToCdf) {
-  ChiSquared d(4.0);
-  // Riemann sum of pdf over [0, 8] vs cdf(8).
-  double mass = 0.0;
-  const int steps = 8000;
-  for (int i = 0; i < steps; ++i) {
-    mass += d.pdf((i + 0.5) * 8.0 / steps) * 8.0 / steps;
-  }
-  EXPECT_NEAR(mass, d.cdf(8.0), 1e-5);
-}
-
-TEST(ChiSquared, MeanVariance) {
-  ChiSquared d(7.0);
-  EXPECT_DOUBLE_EQ(d.mean(), 7.0);
-  EXPECT_DOUBLE_EQ(d.variance(), 14.0);
-}
-
 TEST(Distributions, InvalidParametersRejected) {
   EXPECT_THROW(Normal(0.0, 0.0), ContractViolation);
   EXPECT_THROW(HalfNormal(-1.0), ContractViolation);
   EXPECT_THROW(Exponential(0.0), ContractViolation);
   EXPECT_THROW(Uniform(1.0, 1.0), ContractViolation);
-  EXPECT_THROW(Pareto(0.0, 1.0), ContractViolation);
-  EXPECT_THROW(ChiSquared(0.0), ContractViolation);
 }
 
 TEST(StandardNormal, SamplerMomentsMatch) {
